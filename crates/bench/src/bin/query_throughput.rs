@@ -38,13 +38,11 @@
 //! not asserted. Sharded passes build one in-memory store per shard.
 //!
 //! `--connections N[,M,...]` switches to the connection-scaling workload.
-//! The baseline pass drives the thread-per-connection core with 8
-//! blocking [`Client`] threads — that architecture's native client, and
-//! how every earlier PR measured it. Each listed N then runs against the
-//! event-driven core under open-loop load: one load-generator thread
-//! multiplexing N simultaneous connections over the same readiness poller
-//! the server uses, each connection keeping one hot-point request in
-//! flight. The table (and `BENCH_connections.json`) reports qps plus
+//! The baseline pass drives the server with 8 blocking [`Client`] threads,
+//! closed-loop. Each listed N then runs under open-loop load: one
+//! load-generator thread multiplexing N simultaneous connections over the
+//! same readiness poller the server uses, each connection keeping one
+//! hot-point request in flight. The table (and `BENCH_connections.json`) reports qps plus
 //! p50/p99 request latency per pass. This mode defaults to `--scale 0.05`
 //! (a few-KiB reply) so it measures the serving core's per-connection
 //! overhead rather than reply memcpy bandwidth; pass `--scale` to
@@ -68,10 +66,8 @@ use std::time::{Duration, Instant};
 
 use bench::json::{write_json, Json};
 use bench::{dataset2, fresh_store, print_table, HarnessOptions};
-use historygraph::{
-    GraphManager, GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager,
-};
-use server::{serve, serve_sharded, serve_threaded, Client, ServerConfig};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
+use server::{serve_sharded, Client, ServerConfig};
 use tgraph::Timestamp;
 
 const QUERY_CLASSES: [&str; 7] = [
@@ -214,17 +210,18 @@ fn run_hot_pass(
     seconds: usize,
     hot: &[i64],
 ) -> HotResult {
-    let gm = GraphManager::build(
+    let router = ShardedGraphManager::build(
         &ds.events,
-        GraphManagerConfig::default()
-            .with_snapshot_cache(pass.snap_cache)
-            .with_response_cache(pass.resp_cache),
-        store,
+        ShardedConfig::default().with_manager(
+            GraphManagerConfig::default()
+                .with_snapshot_cache(pass.snap_cache)
+                .with_response_cache(pass.resp_cache),
+        ),
+        move |_| Arc::clone(&store),
     )
     .expect("index construction");
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(
-        shared,
+    let server = serve_sharded(
+        router,
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: clients + 2,
@@ -781,9 +778,10 @@ impl LoadConn {
     }
 }
 
-/// Measurements from one open-loop pass.
+/// Measurements from one connection-scaling pass.
 struct OpenLoopResult {
-    core: &'static str,
+    /// How the load was driven: `blocking-threads` or `open-loop`.
+    client: &'static str,
     connections: usize,
     completed: u64,
     elapsed: f64,
@@ -797,15 +795,13 @@ impl OpenLoopResult {
     }
 }
 
-/// The thread-per-connection baseline, driven the way that architecture
-/// is actually used (and the way every earlier PR measured it): one
-/// blocking [`Client`] per connection on its own OS thread, closed-loop
-/// over the hot points. The event-core rows use the open-loop multiplexed
-/// client instead — floating thousands of blocking client threads on one
-/// host is exactly the cost the event core exists to avoid.
+/// The low-connection baseline: one blocking [`Client`] per connection on
+/// its own OS thread, closed-loop over the hot points. The scaled rows use
+/// the open-loop multiplexed client instead — floating thousands of
+/// blocking client threads on one host would measure the load generator,
+/// not the server.
 fn run_blocking_clients(
     addr: std::net::SocketAddr,
-    core: &'static str,
     connections: usize,
     seconds: usize,
     hot: &[i64],
@@ -856,7 +852,7 @@ fn run_blocking_clients(
         latencies_us[idx]
     };
     OpenLoopResult {
-        core,
+        client: "blocking-threads",
         connections,
         completed: latencies_us.len() as u64,
         elapsed,
@@ -872,7 +868,6 @@ fn run_blocking_clients(
 /// refcounts), so the offered load scales with the connection count.
 fn run_open_loop(
     addr: std::net::SocketAddr,
-    core: &'static str,
     connections: usize,
     seconds: usize,
     hot: &[i64],
@@ -1054,7 +1049,7 @@ fn run_open_loop(
         latencies_us[idx]
     };
     OpenLoopResult {
-        core,
+        client: "open-loop",
         connections,
         completed,
         elapsed,
@@ -1063,8 +1058,8 @@ fn run_open_loop(
     }
 }
 
-/// The connection-scaling workload: a threaded-core baseline at 8
-/// connections, then the event-driven core at each requested count.
+/// The connection-scaling workload: a baseline of 8 blocking client
+/// threads, then open-loop load at each requested connection count.
 fn run_connections(opts: &HarnessOptions, seconds: usize) {
     let counts: Vec<usize> = arg_str("--connections")
         .expect("--connections")
@@ -1132,15 +1127,16 @@ fn run_connections(opts: &HarnessOptions, seconds: usize) {
     // Each pass probes STATS METRICS before its server goes down, so the
     // JSON artifact carries per-verb service latency alongside the
     // end-to-end request latency the load generator measures.
-    let run_pass = |core: &'static str, n: usize| -> (OpenLoopResult, Json) {
-        let gm = GraphManager::build_in_memory(
+    let run_pass = |blocking: bool, n: usize| -> (OpenLoopResult, Json) {
+        let router = ShardedGraphManager::build_in_memory(
             &ds.events,
-            GraphManagerConfig::default()
-                .with_snapshot_cache(cache)
-                .with_response_cache(resp_cache),
+            ShardedConfig::default().with_manager(
+                GraphManagerConfig::default()
+                    .with_snapshot_cache(cache)
+                    .with_response_cache(resp_cache),
+            ),
         )
         .expect("index construction");
-        let shared = SharedGraphManager::new(gm);
         let config = ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: n + 8,
@@ -1150,22 +1146,19 @@ fn run_connections(opts: &HarnessOptions, seconds: usize) {
             max_queue_depth: max_queue_depth_arg(),
             ..Default::default()
         };
-        if core == "threaded" {
-            let server = serve_threaded(shared, config).expect("server start");
-            let result = run_blocking_clients(server.addr(), core, n, seconds, &hot);
-            let verbs = verb_latency_json(server.addr());
-            (result, verbs)
+        let server = serve_sharded(router, config).expect("server start");
+        let result = if blocking {
+            run_blocking_clients(server.addr(), n, seconds, &hot)
         } else {
-            let server = serve(shared, config).expect("server start");
-            let result = run_open_loop(server.addr(), core, n, seconds, &hot);
-            let verbs = verb_latency_json(server.addr());
-            (result, verbs)
-        }
+            run_open_loop(server.addr(), n, seconds, &hot)
+        };
+        let verbs = verb_latency_json(server.addr());
+        (result, verbs)
     };
 
-    let mut results = vec![run_pass("threaded", 8)];
+    let mut results = vec![run_pass(true, 8)];
     for &n in &counts {
-        results.push(run_pass("event", n));
+        results.push(run_pass(false, n));
     }
 
     let baseline_qps = results[0].0.qps().max(f64::MIN_POSITIVE);
@@ -1173,7 +1166,7 @@ fn run_connections(opts: &HarnessOptions, seconds: usize) {
         .iter()
         .map(|(r, _)| {
             vec![
-                format!("{} @ {}", r.core, r.connections),
+                format!("{} @ {}", r.client, r.connections),
                 r.completed.to_string(),
                 format!("{:.0}", r.qps()),
                 format!("{:.2}", r.p50_us as f64 / 1000.0),
@@ -1183,8 +1176,7 @@ fn run_connections(opts: &HarnessOptions, seconds: usize) {
         })
         .collect();
     print_table(
-        "hot-point throughput: event core under open-loop load vs \
-         threaded core with blocking clients @ 8",
+        "hot-point throughput: open-loop load vs 8 blocking client threads",
         &["config", "queries", "qps", "p50 ms", "p99 ms", "speedup"],
         &rows,
     );
@@ -1193,15 +1185,7 @@ fn run_connections(opts: &HarnessOptions, seconds: usize) {
         .iter()
         .map(|(r, verbs)| {
             Json::obj(vec![
-                ("core", Json::from(r.core)),
-                (
-                    "client",
-                    Json::from(if r.core == "threaded" {
-                        "blocking-threads"
-                    } else {
-                        "open-loop"
-                    }),
-                ),
+                ("client", Json::from(r.client)),
                 ("connections", Json::from(r.connections)),
                 ("completed", Json::from(r.completed)),
                 ("elapsed_s", Json::from(r.elapsed)),
@@ -1247,10 +1231,10 @@ fn run_batch_pass(
     clients: usize,
     seconds: usize,
 ) -> BatchResult {
-    let gm = GraphManager::build_in_memory(&ds.events, GraphManagerConfig::default())
+    let router = ShardedGraphManager::build_in_memory(&ds.events, ShardedConfig::default())
         .expect("index construction");
-    let server = serve(
-        SharedGraphManager::new(gm),
+    let server = serve_sharded(
+        router,
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: clients + 2,
@@ -1568,10 +1552,11 @@ fn main() {
     let start_t = ds.start_time().raw();
     let end_t = ds.end_time().raw();
     let store = fresh_store(&opts, "query_throughput");
-    let gm = GraphManager::build(&ds.events, GraphManagerConfig::default(), store)
-        .expect("index construction");
+    let router = ShardedGraphManager::build(&ds.events, ShardedConfig::default(), move |_| {
+        Arc::clone(&store)
+    })
+    .expect("index construction");
     // Bind one key per client for the entity queries.
-    let shared = SharedGraphManager::new(gm);
     let sample_nodes: Vec<u64> = {
         let snap = ds.snapshot_at(Timestamp((start_t + end_t) / 2));
         let mut ids: Vec<u64> = snap.node_ids().map(|n| n.raw()).collect();
@@ -1580,8 +1565,8 @@ fn main() {
         ids
     };
 
-    let server = serve(
-        shared,
+    let server = serve_sharded(
+        router,
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: clients + 2,

@@ -3,11 +3,9 @@
 //! The executor targets the router: point, entity, and history queries are
 //! routed to the shard owning their time; multipoint queries fan out across
 //! shards in parallel and reassemble in request order; `APPEND` goes to the
-//! tail shard. A single-shard router (the [`Executor::new`] path) behaves
-//! exactly like the pre-sharding executor over one [`SharedGraphManager`]:
-//! snapshot computation runs under the owning shard's read lock, while
-//! overlays, appends, binds, and releases take that shard's write lock
-//! briefly. Every retrieved graph is overlaid through the executor's
+//! tail shard. Within a shard, snapshot computation runs under the shard's
+//! read lock, while overlays, appends, binds, and releases take its write
+//! lock briefly; a one-shard router serves the whole history that way. Every retrieved graph is overlaid through the executor's
 //! [`ShardedSession`], so dropping the executor (a client disconnecting)
 //! releases everything it retrieved, on every shard it touched.
 //!
@@ -15,8 +13,6 @@
 //! verb) and, through [`Executor::execute_framed`], the rendered-response
 //! byte cache: hot `GET GRAPH AT` replies are served as pre-framed bytes
 //! with zero per-request rendering, from the owning shard's cache.
-//!
-//! [`SharedGraphManager`]: historygraph::SharedGraphManager
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,13 +113,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor over a single shared manager (wrapped as a
-    /// one-shard router). Sessions start in [`WireFormat::Text`].
-    pub fn new(shared: SharedGraphManager) -> Self {
-        Self::for_router(ShardedGraphManager::single(shared))
-    }
-
-    /// Creates an executor over a sharded router (one per client session).
+    /// Creates an executor over a router (one per client session).
+    /// Sessions start in [`WireFormat::Text`].
     pub fn for_router(router: ShardedGraphManager) -> Self {
         let session = router.session();
         Executor {
@@ -730,27 +721,32 @@ pub use graphpool::GraphId;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use historygraph::{GraphManager, GraphManagerConfig, ShardedGraphManager};
+    use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
     use tgraph::Timestamp;
 
-    fn executor() -> (Executor, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
+    /// An executor over a one-shard router on the toy trace, plus the
+    /// shard's manager handle for in-process assertions.
+    fn toy_executor(config: GraphManagerConfig) -> (Executor, SharedGraphManager) {
+        let router = ShardedGraphManager::build_in_memory(
             &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
+            ShardedConfig::default().with_manager(config),
         )
         .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        (Executor::new(shared.clone()), shared)
+        let shared = router.shard_at(0).unwrap();
+        (Executor::for_router(router), shared)
+    }
+
+    /// Another session on the same router as `exec`.
+    fn peer(exec: &Executor) -> Executor {
+        Executor::for_router(exec.router.clone())
+    }
+
+    fn executor() -> (Executor, SharedGraphManager) {
+        toy_executor(GraphManagerConfig::default())
     }
 
     fn cached_executor(capacity: usize) -> (Executor, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
-            GraphManagerConfig::default().with_snapshot_cache(capacity),
-        )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        (Executor::new(shared.clone()), shared)
+        toy_executor(GraphManagerConfig::default().with_snapshot_cache(capacity))
     }
 
     fn run(exec: &mut Executor, line: &str) -> String {
@@ -909,7 +905,7 @@ mod tests {
     #[test]
     fn release_all_is_scoped_to_the_issuing_session() {
         let (mut exec, shared) = executor();
-        let mut other = Executor::new(shared.clone());
+        let mut other = peer(&exec);
         run(&mut other, "GET GRAPH AT 6");
         run(&mut exec, "GET GRAPH AT 3");
         assert_eq!(shared.read().pool().active_overlay_count(), 2);
@@ -925,7 +921,7 @@ mod tests {
     #[test]
     fn cached_point_queries_share_one_overlay_between_executors() {
         let (mut exec, shared) = cached_executor(8);
-        let mut other = Executor::new(shared.clone());
+        let mut other = peer(&exec);
         let a = run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
         let b = run(&mut other, "GET GRAPH AT 6 WITH +node:all+edge:all");
         assert_eq!(a, b);
@@ -1000,15 +996,11 @@ mod tests {
     }
 
     fn full_executor(snap_cache: usize, resp_cache: usize) -> (Executor, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
+        toy_executor(
             GraphManagerConfig::default()
                 .with_snapshot_cache(snap_cache)
                 .with_response_cache(resp_cache),
         )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        (Executor::new(shared.clone()), shared)
     }
 
     #[test]
@@ -1094,7 +1086,7 @@ mod tests {
     #[test]
     fn multipoint_queries_share_cached_overlays_without_polluting_the_cache() {
         let (mut exec, shared) = cached_executor(8);
-        let mut other = Executor::new(shared.clone());
+        let mut other = peer(&exec);
         run(&mut exec, "GET GRAPH AT 6");
         // Multipoint over the same instant plus one more: the t=6 overlay is
         // reused (cache hit, shared across sessions), t=9 goes through the
@@ -1123,7 +1115,7 @@ mod tests {
         );
         let router = ShardedGraphManager::build_in_memory(
             &events,
-            historygraph::ShardedConfig::default()
+            ShardedConfig::default()
                 .with_shards(shards)
                 .with_manager(GraphManagerConfig::default().with_snapshot_cache(16)),
         )
@@ -1268,14 +1260,14 @@ mod tests {
 
     #[test]
     fn stats_server_renders_core_and_flight_counters() {
-        let (_, shared) = executor();
+        let (base, _) = executor();
         let stats = Arc::new(ServerStats::new());
         stats.live_connections.store(3, Ordering::Relaxed);
         stats.accepted.store(10, Ordering::Relaxed);
         stats.workers.store(2, Ordering::Relaxed);
         let flights = Arc::new(FlightTable::new());
         flights.note_coalesced();
-        let mut exec = Executor::new(shared)
+        let mut exec = peer(&base)
             .with_server_stats(Arc::clone(&stats))
             .with_flights(flights);
         let text = run(&mut exec, "STATS SERVER");
@@ -1393,10 +1385,10 @@ mod tests {
 
     #[test]
     fn under_threshold_requests_are_not_captured() {
-        let (_, shared) = executor();
+        let (base, _) = executor();
         let hub = Arc::new(crate::obs::MetricsHub::new());
         hub.set_slow_threshold_us(u64::MAX); // nothing is slow
-        let mut exec = Executor::new(shared).with_metrics(Arc::clone(&hub));
+        let mut exec = peer(&base).with_metrics(Arc::clone(&hub));
         exec.execute_framed("GET GRAPH AT 6");
         exec.execute_framed("PING");
         assert!(hub.drain_slow().is_empty());
@@ -1411,9 +1403,9 @@ mod tests {
 
     #[test]
     fn hot_path_records_fast_path_metrics_only_on_hits() {
-        let (_, shared) = full_executor(8, 8);
+        let (base, _) = full_executor(8, 8);
         let hub = Arc::new(crate::obs::MetricsHub::new());
-        let mut exec = Executor::new(shared).with_metrics(Arc::clone(&hub));
+        let mut exec = peer(&base).with_metrics(Arc::clone(&hub));
         // Cold: the hot path declines and must record nothing.
         assert!(exec.try_execute_hot("GET GRAPH AT 6").is_none());
         assert_eq!(hub.path_fast.get(), 0);
@@ -1430,7 +1422,7 @@ mod tests {
         // Deterministic, no timing: the test leads the flight itself so
         // every session is forced into the follower path, and publishes
         // only once all of them have joined.
-        let (_, shared) = full_executor(8, 8);
+        let (base, _) = full_executor(8, 8);
         let flights = Arc::new(FlightTable::new());
         let opts = AttrOptions::parse("").unwrap();
         let crate::flight::Joined::Leader(guard) =
@@ -1442,12 +1434,8 @@ mod tests {
         let replies: Vec<Vec<u8>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..N)
                 .map(|_| {
-                    let shared = shared.clone();
-                    let flights = Arc::clone(&flights);
-                    scope.spawn(move || {
-                        let mut exec = Executor::new(shared).with_flights(flights);
-                        exec.execute_framed("GET GRAPH AT 6").as_ref().to_vec()
-                    })
+                    let mut exec = peer(&base).with_flights(Arc::clone(&flights));
+                    scope.spawn(move || exec.execute_framed("GET GRAPH AT 6").as_ref().to_vec())
                 })
                 .collect();
             // Each joined follower holds a handle on the pending flight.
@@ -1459,7 +1447,7 @@ mod tests {
                 );
                 std::thread::yield_now();
             }
-            let mut leader = Executor::new(shared.clone()).with_flights(Arc::clone(&flights));
+            let mut leader = peer(&base).with_flights(Arc::clone(&flights));
             let (shard, epoch, bytes) = leader
                 .render_point_shared(Timestamp(6), &opts)
                 .expect("leader render");
@@ -1490,12 +1478,12 @@ mod tests {
     fn follower_never_accepts_bytes_across_an_append() {
         // Deterministic staleness check, no timing: a follower that joins a
         // flight whose result was computed before an APPEND must re-render.
-        let (_, shared) = full_executor(8, 8);
+        let (mut renderer, shared) = full_executor(8, 8);
         let flights = Arc::new(FlightTable::new());
-        // Renders outside the flight table, so producing the stale bytes
-        // does not join (and wait on) the very flight the test holds open.
-        let mut renderer = Executor::new(shared.clone());
-        let mut follower = Executor::new(shared.clone()).with_flights(Arc::clone(&flights));
+        // The renderer works outside the flight table, so producing the
+        // stale bytes does not join (and wait on) the very flight the test
+        // holds open.
+        let mut follower = peer(&renderer).with_flights(Arc::clone(&flights));
 
         // Manufacture the race: lead a flight, publish a result captured at
         // the current epoch, then APPEND (bumping the epoch) before the

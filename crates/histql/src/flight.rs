@@ -237,16 +237,14 @@ impl Drop for LeaderGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use historygraph::{GraphManager, GraphManagerConfig};
+    use historygraph::{ShardedConfig, ShardedGraphManager};
     use std::thread;
 
     fn shard() -> SharedGraphManager {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
-        )
-        .unwrap();
-        SharedGraphManager::new(gm)
+        ShardedGraphManager::build_in_memory(&datagen::toy_trace().events, ShardedConfig::default())
+            .unwrap()
+            .shard_at(0)
+            .unwrap()
     }
 
     fn key(t: i64) -> FlightKey {

@@ -2,10 +2,13 @@
 //!
 //! The tail shard of a sharded deployment is the only mutable piece of the
 //! history; this log makes its ingest durable. Every append writes one
-//! length-prefixed, CRC-32-protected record holding a `tgraph::codec`-encoded
-//! [`Event`] *before* the event is applied in memory, so an acknowledged
-//! append survives a crash (under [`WalSyncPolicy::Always`]; the other
-//! policies trade the tail of the log for throughput).
+//! length-prefixed, CRC-32-protected record *before* the events are applied
+//! in memory, so an acknowledged append survives a crash (under
+//! [`WalSyncPolicy::Always`]; the other policies trade the tail of the log
+//! for throughput). A record holds either one `tgraph::codec`-encoded
+//! [`Event`] or a whole batch of them ([`Wal::append_batch`]): one write,
+//! one checksum, and one policy sync per batch, so a batch is durable, or
+//! lost to a torn tail, as a unit.
 //!
 //! Replay ([`Wal::open`]) tolerates exactly one failure shape: a *torn tail*,
 //! i.e. an incomplete or checksum-failing final record from a crash
@@ -18,15 +21,18 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use tgraph::codec::{Decode, Encode};
+use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::Event;
 
 use crate::disk::crc32;
 use crate::faults;
 use crate::store::{StoreError, StoreResult};
 
-/// Magic byte starting every WAL record (distinct from the disk store's).
+/// Magic byte starting a single-event WAL record (distinct from the disk
+/// store's).
 const WAL_RECORD_MAGIC: u8 = 0xA1;
+/// Magic byte starting a batch record: an event count, then the events.
+const WAL_BATCH_MAGIC: u8 = 0xA2;
 /// Fixed-size record prefix: magic + payload length + payload CRC.
 const WAL_HEADER_LEN: usize = 1 + 4 + 4;
 
@@ -96,67 +102,141 @@ pub struct Wal {
     fsyncs: u64,
 }
 
-/// Encodes one WAL record for `event`.
-fn build_record(event: &Event) -> Vec<u8> {
-    let payload = event.to_bytes();
+/// A record's checksum. A batch record's also covers its magic byte, so a
+/// flipped magic can never make a single-event record read as a batch or
+/// the other way round.
+fn record_crc(magic: u8, payload: &[u8]) -> u32 {
+    if magic == WAL_BATCH_MAGIC {
+        let mut covered = Vec::with_capacity(1 + payload.len());
+        covered.push(magic);
+        covered.extend_from_slice(payload);
+        crc32(&covered)
+    } else {
+        crc32(payload)
+    }
+}
+
+/// Encodes the one WAL record holding `events`: a single-event record for
+/// one event, a batch record otherwise.
+fn build_record(events: &[Event]) -> Vec<u8> {
+    let (magic, payload) = match events {
+        [event] => (WAL_RECORD_MAGIC, event.to_bytes()),
+        _ => {
+            let mut payload = Vec::new();
+            (events.len() as u64).encode(&mut payload);
+            for event in events {
+                event.encode(&mut payload);
+            }
+            (WAL_BATCH_MAGIC, payload)
+        }
+    };
     let mut record = Vec::with_capacity(WAL_HEADER_LEN + payload.len());
-    record.push(WAL_RECORD_MAGIC);
+    record.push(magic);
     record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&crc32(&payload).to_le_bytes());
+    record.extend_from_slice(&record_crc(magic, &payload).to_le_bytes());
     record.extend_from_slice(&payload);
     record
 }
 
-/// On-disk size in bytes of the record [`Wal::append`] writes for `event`.
-/// Exposed so tests can compute which acked events survive a log truncated
-/// at an arbitrary byte offset.
-pub fn wal_record_len(event: &Event) -> u64 {
-    (WAL_HEADER_LEN + event.to_bytes().len()) as u64
+/// On-disk size in bytes of the one record the log writes for `events`.
+/// Exposed so tests can compute which acked appends survive a log
+/// truncated at an arbitrary byte offset.
+pub fn wal_record_len(events: &[Event]) -> u64 {
+    build_record(events).len() as u64
+}
+
+/// The record starting at some offset of a log.
+enum Scan {
+    /// A complete, checksum-valid record and the offset just past it.
+    Record(Vec<Event>, usize),
+    /// An incomplete record, or a complete-length one whose checksum fails
+    /// with nothing after it: the shape a crash mid-write leaves.
+    Torn,
+}
+
+/// Reads the record at `pos`. A bad magic byte, an undecodable payload, or
+/// a checksum failure with more log after it is corruption.
+fn scan_record(data: &[u8], pos: usize) -> StoreResult<Scan> {
+    if pos + WAL_HEADER_LEN > data.len() {
+        return Ok(Scan::Torn);
+    }
+    let magic = data[pos];
+    if magic != WAL_RECORD_MAGIC && magic != WAL_BATCH_MAGIC {
+        return Err(StoreError::Corruption(format!(
+            "bad wal record magic {magic:#x} at offset {pos}"
+        )));
+    }
+    let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
+    let crc_stored = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap());
+    let payload_start = pos + WAL_HEADER_LEN;
+    let payload_end = match payload_start.checked_add(len) {
+        Some(end) if end <= data.len() => end,
+        _ => return Ok(Scan::Torn),
+    };
+    let payload = &data[payload_start..payload_end];
+    if record_crc(magic, payload) != crc_stored {
+        if payload_end == data.len() {
+            return Ok(Scan::Torn); // length landed, bytes did not
+        }
+        return Err(StoreError::Corruption(format!(
+            "wal crc mismatch at offset {pos} with {} bytes of log after it",
+            data.len() - payload_end
+        )));
+    }
+    let undecodable = |e: tgraph::TgError| {
+        StoreError::Corruption(format!("undecodable wal record at offset {pos}: {e}"))
+    };
+    let events = if magic == WAL_RECORD_MAGIC {
+        vec![Event::from_bytes(payload).map_err(undecodable)?]
+    } else {
+        let mut r = Reader::new(payload);
+        let count = u64::decode(&mut r).map_err(undecodable)?;
+        let events = (0..count)
+            .map(|_| Event::decode(&mut r))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(undecodable)?;
+        if !r.is_empty() || events.is_empty() {
+            return Err(StoreError::Corruption(format!(
+                "malformed wal batch record at offset {pos}"
+            )));
+        }
+        events
+    };
+    Ok(Scan::Record(events, payload_end))
+}
+
+/// Strictly parses a log that is known to be complete into its records,
+/// each with its start offset: any torn or corrupt byte is an error, never
+/// a silent truncation.
+fn read_records(data: &[u8]) -> StoreResult<Vec<(usize, Vec<Event>)>> {
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < data.len() {
+        match scan_record(data, pos)? {
+            Scan::Record(events, end) => {
+                records.push((pos, events));
+                pos = end;
+            }
+            Scan::Torn => {
+                return Err(StoreError::Corruption(format!(
+                    "torn record at offset {pos} in a log expected to be complete"
+                )))
+            }
+        }
+    }
+    Ok(records)
 }
 
 /// Strictly replays a log that is known to be complete (e.g. the live tail
 /// log at shard-roll time): any torn or corrupt byte is an error, never a
 /// silent truncation.
 pub fn read_wal_events(path: impl AsRef<Path>) -> StoreResult<Vec<Event>> {
-    let path = path.as_ref();
     let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    let mut events = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let torn = || {
-            StoreError::Corruption(format!(
-                "torn record at offset {pos} in a log expected to be complete"
-            ))
-        };
-        if pos + WAL_HEADER_LEN > data.len() {
-            return Err(torn());
-        }
-        if data[pos] != WAL_RECORD_MAGIC {
-            return Err(StoreError::Corruption(format!(
-                "bad wal record magic {:#x} at offset {pos}",
-                data[pos]
-            )));
-        }
-        let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        let crc_stored = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap());
-        let payload_start = pos + WAL_HEADER_LEN;
-        let payload_end = match payload_start.checked_add(len) {
-            Some(end) if end <= data.len() => end,
-            _ => return Err(torn()),
-        };
-        let payload = &data[payload_start..payload_end];
-        if crc32(payload) != crc_stored {
-            return Err(StoreError::Corruption(format!(
-                "wal crc mismatch at offset {pos}"
-            )));
-        }
-        events.push(Event::from_bytes(payload).map_err(|e| {
-            StoreError::Corruption(format!("undecodable wal event at offset {pos}: {e}"))
-        })?);
-        pos = payload_end;
-    }
-    Ok(events)
+    File::open(path.as_ref())?.read_to_end(&mut data)?;
+    Ok(read_records(&data)?
+        .into_iter()
+        .flat_map(|(_, events)| events)
+        .collect())
 }
 
 impl Wal {
@@ -199,42 +279,17 @@ impl Wal {
         file.read_to_end(&mut data)?;
 
         let mut events = Vec::new();
-        let mut pos = 0usize;
-        let mut valid_end = 0u64;
-        while pos < data.len() {
-            if pos + WAL_HEADER_LEN > data.len() {
-                break; // torn header
-            }
-            if data[pos] != WAL_RECORD_MAGIC {
-                return Err(StoreError::Corruption(format!(
-                    "bad wal record magic {:#x} at offset {pos}",
-                    data[pos]
-                )));
-            }
-            let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
-            let crc_stored = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap());
-            let payload_start = pos + WAL_HEADER_LEN;
-            let payload_end = match payload_start.checked_add(len) {
-                Some(end) if end <= data.len() => end,
-                _ => break, // torn payload
-            };
-            let payload = &data[payload_start..payload_end];
-            if crc32(payload) != crc_stored {
-                if payload_end == data.len() {
-                    break; // torn final record: length landed, bytes did not
+        let mut valid_end = 0usize;
+        while valid_end < data.len() {
+            match scan_record(&data, valid_end)? {
+                Scan::Record(record, end) => {
+                    events.extend(record);
+                    valid_end = end;
                 }
-                return Err(StoreError::Corruption(format!(
-                    "wal crc mismatch at offset {pos} with {} bytes of log after it",
-                    data.len() - payload_end
-                )));
+                Scan::Torn => break,
             }
-            let event = Event::from_bytes(payload).map_err(|e| {
-                StoreError::Corruption(format!("undecodable wal event at offset {pos}: {e}"))
-            })?;
-            events.push(event);
-            pos = payload_end;
-            valid_end = payload_end as u64;
         }
+        let valid_end = valid_end as u64;
         let torn_bytes = file_len - valid_end;
         if torn_bytes > 0 {
             file.set_len(valid_end)?;
@@ -261,7 +316,15 @@ impl Wal {
     /// length *before* the record, which [`Wal::truncate_to`] accepts to
     /// roll the write back if the in-memory apply then fails.
     pub fn append(&mut self, event: &Event) -> StoreResult<u64> {
-        let record = build_record(event);
+        self.append_batch(std::slice::from_ref(event))
+    }
+
+    /// Appends `events` as one record — one write, one checksum, one sync
+    /// under the policy — so recovery keeps the batch whole or drops it
+    /// whole. Returns the log length before the record, like
+    /// [`Wal::append`].
+    pub fn append_batch(&mut self, events: &[Event]) -> StoreResult<u64> {
+        let record = build_record(events);
         let before = self.len;
         faults::write_all(&mut self.file, &record, "wal.append", &self.path)?;
         self.len += record.len() as u64;
@@ -280,6 +343,19 @@ impl Wal {
         self.len = offset;
         self.dirty = true;
         Ok(())
+    }
+
+    /// Start offset and event count of the log's last record, `None` for
+    /// an empty log: [`Wal::truncate_to`] that offset drops exactly that
+    /// record, a single event or a whole batch. Re-reads the log, so it is
+    /// meant for recovery, not the append path.
+    pub fn last_record(&self) -> StoreResult<Option<(u64, usize)>> {
+        let mut data = Vec::new();
+        File::open(&self.path)?.read_to_end(&mut data)?;
+        data.truncate(self.len as usize);
+        Ok(read_records(&data)?
+            .pop()
+            .map(|(start, events)| (start as u64, events.len())))
     }
 
     /// Forces buffered bytes to durable storage now.
@@ -323,7 +399,8 @@ impl Wal {
         self.len == 0
     }
 
-    /// Records appended through this handle (not counting replayed ones).
+    /// Records appended through this handle (not counting replayed ones);
+    /// a batch is one record.
     pub fn appends(&self) -> u64 {
         self.appends
     }
@@ -431,7 +508,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         let mut boundaries = vec![0u64];
         for ev in &events {
-            boundaries.push(boundaries.last().unwrap() + wal_record_len(ev));
+            boundaries.push(boundaries.last().unwrap() + wal_record_len(std::slice::from_ref(ev)));
         }
         assert_eq!(*boundaries.last().unwrap(), full.len() as u64);
         for cut in 0..=full.len() {
@@ -491,10 +568,13 @@ mod tests {
         let path = tmpdir("flips").join("wal.log");
         let events = sample_events();
         {
+            // Single-event records and a batch record, so a flipped magic
+            // byte is tried in both directions.
             let mut wal = Wal::create(&path, WalSyncPolicy::Always).unwrap();
-            for ev in &events {
+            for ev in &events[..2] {
                 wal.append(ev).unwrap();
             }
+            wal.append_batch(&events[2..]).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         for i in 0..full.len() {
@@ -512,6 +592,41 @@ mod tests {
                     "byte {i}: a flipped byte cannot leave every record intact"
                 );
             }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_batch_is_one_record_kept_or_torn_whole() {
+        // One single-event record, then the rest as one batch record.
+        let path = tmpdir("batch").join("wal.log");
+        let events = sample_events();
+        let (first, batch) = events.split_at(1);
+        {
+            let mut wal = Wal::create(&path, WalSyncPolicy::Always).unwrap();
+            wal.append(&first[0]).unwrap();
+            let fsyncs = wal.fsyncs();
+            wal.append_batch(batch).unwrap();
+            assert_eq!(wal.appends(), 2, "a batch is one record");
+            assert_eq!(wal.fsyncs() - fsyncs, 1, "one sync per batch");
+        }
+        let full = std::fs::read(&path).unwrap();
+        let first_len = wal_record_len(first);
+        assert_eq!(first_len + wal_record_len(batch), full.len() as u64);
+        let replay = Wal::open(&path, WalSyncPolicy::Off).unwrap();
+        assert_eq!(replay.events, events);
+        assert_eq!(
+            replay.wal.last_record().unwrap(),
+            Some((first_len, batch.len()))
+        );
+        assert_eq!(read_wal_events(&path).unwrap(), events);
+        // Any cut inside the batch record drops the whole batch.
+        for cut in first_len as usize..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let replay = Wal::open(&path, WalSyncPolicy::Off).unwrap();
+            assert_eq!(replay.events, first, "cut={cut}");
+            assert_eq!(replay.wal.last_record().unwrap(), Some((0, 1)), "cut={cut}");
+            assert_eq!(replay.torn_bytes, cut as u64 - first_len, "cut={cut}");
         }
         std::fs::remove_file(&path).ok();
     }

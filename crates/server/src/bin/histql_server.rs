@@ -4,7 +4,7 @@
 //! cargo run --release -p server --bin histql_server -- \
 //!     [--addr 127.0.0.1:7171] [--toy | --churn] [--scale 1.0] \
 //!     [--max-conns 64] [--cache 128] [--resp-cache 128] \
-//!     [--resp-cache-bytes 0] [--workers 4] [--threaded] \
+//!     [--resp-cache-bytes 0] [--workers 4] \
 //!     [--shards 1] [--shard-events 0] [--no-metrics] \
 //!     [--metrics-addr 127.0.0.1:9191] [--slow-query-us 0] \
 //!     [--data-dir DIR] [--wal-sync always|interval[=ms]|off] \
@@ -21,11 +21,10 @@
 //! bytes per shard (0 = entry count only); the least recently used entries
 //! are evicted until the cache fits.
 //!
-//! The server runs on the event-driven core by default: one reactor thread
-//! multiplexes all connections, `--workers N` threads execute requests,
-//! and concurrent identical point queries are coalesced into single
-//! renders (`STATS SERVER` shows the counters). `--threaded` selects the
-//! original thread-per-connection core instead (the benchmark baseline).
+//! The server is event-driven: one reactor thread multiplexes all
+//! connections, `--workers N` threads execute requests, and concurrent
+//! identical point queries are coalesced into single renders (`STATS
+//! SERVER` shows the counters).
 //!
 //! `--shards N` splits the serving layer into N time-range shards behind a
 //! router (equi-width over the built history): reads route to the shard
@@ -48,7 +47,7 @@
 //! dataset flags are ignored) and `STATS STORAGE` reports the recovery;
 //! otherwise it builds the dataset and persists it there.
 //!
-//! Overload protection (see `docs/RELIABILITY.md`; event core only):
+//! Overload protection (see `docs/RELIABILITY.md`):
 //! `--request-timeout-ms N` refuses requests whose queue wait exceeded the
 //! deadline with `ERR deadline exceeded` (service overruns are counted but
 //! complete), and `--max-queue-depth N` sheds requests arriving over a full
@@ -71,7 +70,7 @@ use historygraph::datagen::{churn_trace, toy_trace, ChurnConfig};
 use historygraph::{
     is_durable_dir, GraphManagerConfig, ShardedConfig, ShardedGraphManager, WalSyncPolicy,
 };
-use server::{serve_sharded, serve_sharded_threaded, ServerConfig};
+use server::{serve_sharded, ServerConfig};
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -101,7 +100,6 @@ fn main() {
     let workers: usize = arg_value("--workers")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let threaded = std::env::args().any(|a| a == "--threaded");
     let shards: usize = arg_value("--shards")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
@@ -193,17 +191,11 @@ fn main() {
         max_queue_depth,
         ..Default::default()
     };
-    let server = if threaded {
-        serve_sharded_threaded(router, config)
-    } else {
-        serve_sharded(router, config)
-    }
-    .expect("bind");
+    let server = serve_sharded(router, config).expect("bind");
     println!(
-        "histql server on {} — history [{start}, {end}], {} shard(s), {} core{}",
+        "histql server on {} — history [{start}, {end}], {} shard(s){}",
         server.addr(),
         infos.len(),
-        if threaded { "threaded" } else { "event" },
         if data_dir.is_some() { ", durable" } else { "" }
     );
     if let Some(addr) = server.metrics_addr() {

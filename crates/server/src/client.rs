@@ -2,7 +2,7 @@
 //! benchmark harness, and as a reference implementation of both framings
 //! (text lines and binary length-prefixed frames).
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -44,7 +44,7 @@ impl Client {
         let mut lines = Vec::new();
         let mut line = String::new();
         loop {
-            match crate::read_bounded_line(&mut self.reader, &mut line, MAX_RESPONSE_LINE)? {
+            match read_bounded_line(&mut self.reader, &mut line, MAX_RESPONSE_LINE)? {
                 Some(()) => {}
                 None => {
                     return Err(io::Error::new(
@@ -129,5 +129,77 @@ impl Client {
         let mut payload = vec![0u8; len];
         self.reader.read_exact(&mut payload)?;
         Ok(payload)
+    }
+}
+
+/// Reads one `\n`-terminated line without buffering more than `max` bytes:
+/// `Ok(None)` on a clean EOF, `Err(InvalidData)` when the cap is exceeded
+/// (the line is abandoned unread). `read_line` alone would buffer an entire
+/// newline-less stream into memory before any length check could run.
+fn read_bounded_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    max: usize,
+) -> io::Result<Option<()>> {
+    line.clear();
+    let mut bytes = Vec::new();
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            // EOF: a non-empty unterminated tail still counts as a line.
+            return Ok(if bytes.is_empty() {
+                None
+            } else {
+                *line = String::from_utf8_lossy(&bytes).into_owned();
+                Some(())
+            });
+        }
+        let (chunk, found) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (&buf[..=i], true),
+            None => (buf, false),
+        };
+        if bytes.len() + chunk.len() > max {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "line exceeds maximum length",
+            ));
+        }
+        bytes.extend_from_slice(chunk);
+        let consumed = chunk.len();
+        reader.consume(consumed);
+        if found {
+            *line = String::from_utf8_lossy(&bytes).into_owned();
+            return Ok(Some(()));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bounded_line_reader_rejects_newline_less_floods() {
+        use std::io::Cursor;
+        let mut line = String::new();
+        // A 1 MiB stream with no newline must be rejected once the cap is
+        // exceeded, long before the whole stream is buffered.
+        let flood = vec![b'a'; 1024 * 1024];
+        let mut r = std::io::BufReader::new(Cursor::new(flood));
+        let err = read_bounded_line(&mut r, &mut line, 4096).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Normal lines and EOF behave like read_line.
+        let mut r = std::io::BufReader::new(Cursor::new(b"hello\nworld".to_vec()));
+        assert!(read_bounded_line(&mut r, &mut line, 4096)
+            .unwrap()
+            .is_some());
+        assert_eq!(line, "hello\n");
+        assert!(read_bounded_line(&mut r, &mut line, 4096)
+            .unwrap()
+            .is_some());
+        assert_eq!(line, "world");
+        assert!(read_bounded_line(&mut r, &mut line, 4096)
+            .unwrap()
+            .is_none());
     }
 }

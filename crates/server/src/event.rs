@@ -7,7 +7,7 @@
 //! 1. The **reactor** owns the listener and every connection's socket,
 //!    read buffer, and outbox. On read readiness it drains the socket into
 //!    the connection's buffer and splits off complete request lines
-//!    (bounded by [`MAX_LINE_BYTES`], exactly like the threaded core).
+//!    (bounded by [`MAX_LINE_BYTES`]).
 //! 2. A parsed line is pushed onto the **worker queue** together with the
 //!    connection's [`Executor`] — the executor is *checked out*, which is
 //!    what serializes a session: at most one request per connection is in
@@ -27,18 +27,16 @@
 //! out and whose buffer already holds [`MAX_LINE_BYTES`] stops being read
 //! until the executor returns, and a connection whose unwritten reply
 //! backlog exceeds [`OUTBOX_HIGH_WATER`] has its reads masked *and* its
-//! buffered lines left unparsed until the socket drains below the mark —
-//! the event-core replacement for the blocking writes that gave the
-//! threaded core its write-side backpressure. A client cannot grow server
-//! memory by pipelining faster than it executes or reads. Connections
-//! over the cap are refused with `ERR server busy`.
+//! buffered lines left unparsed until the socket drains below the mark
+//! (parsing then resumes without waiting for new input). A client cannot
+//! grow server memory by pipelining faster than it executes or reads.
+//! Connections over the cap are refused with `ERR server busy`.
 //!
 //! ## Drain
 //!
-//! Shutdown mirrors the threaded core: idle connections (executor home,
-//! outbox empty) are closed immediately — the client observes EOF — while
-//! connections with a request in flight get their response written in
-//! full before closing. Whatever remains past the deadline is
+//! On shutdown, idle connections (executor home, outbox empty) are closed
+//! immediately — the client observes EOF — while connections with a
+//! request in flight get their response written in full before closing. Whatever remains past the deadline is
 //! force-closed; executors still out with a worker are dropped (releasing
 //! their pool overlays) when the completion surfaces.
 
@@ -72,8 +70,8 @@ const METRICS_LISTENER_TOKEN: usize = 1;
 /// First token handed to an accepted metrics scrape connection.
 const FIRST_HTTP_TOKEN: usize = 2;
 
-/// Idle connections are swept after this long without a request — the
-/// event-core replacement for the threaded core's per-socket read timeout.
+/// Idle connections are swept after this long without a request, so
+/// half-dead peers cannot pin a connection slot forever.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// How often the reactor wakes to run the idle sweep.
@@ -216,9 +214,8 @@ enum NextLine {
     NeedMore,
 }
 
-/// Splits the next `\n`-terminated line off `buf` (lossily decoded, like
-/// the threaded core's bounded reader). At EOF a non-empty unterminated
-/// tail still counts as a line.
+/// Splits the next `\n`-terminated line off `buf` (lossily decoded). At EOF
+/// a non-empty unterminated tail still counts as a line.
 fn take_line(buf: &mut Vec<u8>, eof: bool) -> NextLine {
     if let Some(i) = buf.iter().position(|&b| b == b'\n') {
         if i + 1 > MAX_LINE_BYTES {
@@ -823,15 +820,19 @@ impl Reactor {
     /// Parses buffered lines while the session is idle, dispatching at
     /// most one request to the pool (the executor checkout serializes the
     /// session; the rest stay buffered). Stops — leaving lines buffered —
-    /// once the outbox is over its high-water mark; [`Reactor::settle`]
-    /// resumes parsing after `try_write` drains the backlog.
-    fn process_lines(&mut self, token: usize) {
+    /// once the outbox is over its high-water mark, and then returns
+    /// `true`: [`Reactor::settle`] resumes parsing once `try_write` drains
+    /// the backlog.
+    fn process_lines(&mut self, token: usize) -> bool {
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
-                return;
+                return false;
             };
-            if conn.busy() || conn.closing || conn.output_backlogged() {
-                return;
+            if conn.busy() || conn.closing {
+                return false;
+            }
+            if conn.output_backlogged() {
+                return true;
             }
             match take_line(&mut conn.read_buf, conn.peer_eof) {
                 NextLine::Line(line) => {
@@ -857,7 +858,7 @@ impl Reactor {
                         let bye = Response::Bye.to_frame(proto);
                         conn.buffer_output(&bye);
                         conn.closing = true;
-                        return;
+                        return false;
                     }
                     // Cache-resident hot points are answered right here in
                     // the reactor — no executor checkout, no worker-pool
@@ -935,14 +936,14 @@ impl Reactor {
                         .protocol();
                     conn.buffer_output(&frame_error("request line too long", proto));
                     conn.closing = true;
-                    return;
+                    return false;
                 }
                 NextLine::NeedMore => {
                     if conn.peer_eof {
                         // No further requests will ever arrive.
                         conn.closing = true;
                     }
-                    return;
+                    return false;
                 }
             }
         }
@@ -953,14 +954,26 @@ impl Reactor {
     /// *before* parsing matters: draining the outbox may drop the backlog
     /// below the high-water mark, which is what lets a backpressured
     /// connection resume parsing its buffered lines (the second flush
-    /// pushes out whatever the fast path just produced).
+    /// pushes out whatever the fast path just produced). When parsing
+    /// paused on the backlog and that flush drained it, parsing resumes
+    /// right here: the lines already buffered will never get a readiness
+    /// event of their own.
     fn settle(&mut self, token: usize) {
         if !self.try_write(token) {
             return; // gone, or closed on a write error
         }
-        self.process_lines(token);
-        if !self.try_write(token) {
-            return;
+        loop {
+            let paused = self.process_lines(token);
+            if !self.try_write(token) {
+                return;
+            }
+            let drained = self
+                .conns
+                .get_mut(token)
+                .is_some_and(|conn| !conn.output_backlogged());
+            if !(paused && drained) {
+                break;
+            }
         }
         let done = {
             let Some(conn) = self.conns.get_mut(token) else {

@@ -1,34 +1,30 @@
 //! # server — a concurrent TCP snapshot server speaking `histql`
 //!
-//! Std-only. The default serving core ([`serve`] / [`serve_sharded`]) is
-//! **event-driven**: one reactor thread multiplexes every connection over a
-//! readiness poller (`epoll` on linux, `poll` elsewhere — see the `epoll`
-//! shim crate) and a fixed worker pool executes parsed requests, so
-//! thousands of mostly-idle connections cost file descriptors, not OS
-//! threads. The original thread-per-connection core is still available
-//! ([`serve_threaded`] / [`serve_sharded_threaded`]) as the benchmark
-//! baseline. Framing, limits, refusal, and drain semantics are identical
-//! between the two.
+//! Std-only and **event-driven** ([`serve_sharded`]): one reactor thread
+//! multiplexes every connection over a readiness poller (`epoll` on linux,
+//! `poll` elsewhere — see the `epoll` shim crate) and a fixed worker pool
+//! executes parsed requests, so thousands of mostly-idle connections cost
+//! file descriptors, not OS threads.
 //!
-//! All sessions share one [`ShardedGraphManager`] router (a single shard
-//! when started through [`serve`]): snapshot computation runs under the
-//! owning shard's read lock so retrievals proceed concurrently, while
-//! `APPEND` takes only the tail shard's write lock — live events flow in
-//! without contending with historical reads on other shards. Each
-//! connection owns a [`histql::Executor`], whose sharded session releases
-//! every overlay the connection created (on every shard it touched) when
-//! it disconnects, so a dropped client can never leak GraphPool bits.
+//! All sessions share one [`ShardedGraphManager`] router (one shard unless
+//! configured otherwise): snapshot computation runs under the owning
+//! shard's read lock so retrievals proceed concurrently, while `APPEND`
+//! takes only the tail shard's write lock — live events flow in without
+//! contending with historical reads on other shards. Each connection owns
+//! a [`histql::Executor`], whose sharded session releases every overlay
+//! the connection created (on every shard it touched) when it disconnects,
+//! so a dropped client can never leak GraphPool bits.
 //!
-//! Point retrievals are served through the shared snapshot cache (when the
-//! [`SharedGraphManager`]'s manager was configured with one): sessions
-//! asking for the same `(t, opts)` share one reference-counted pool
-//! overlay, and `RELEASE ALL` / disconnect drop only the session's own
-//! references. Hot `GET GRAPH AT` replies are additionally served through
-//! the rendered-response byte cache (when configured), and concurrent
-//! cache misses for the same `(t, opts, protocol)` are **coalesced**: a
+//! Point retrievals are served through each shard's snapshot cache (when
+//! the router's manager configuration enables one): sessions asking for
+//! the same `(t, opts)` share one reference-counted pool overlay, and
+//! `RELEASE ALL` / disconnect drop only the session's own references. Hot
+//! `GET GRAPH AT` replies are additionally served through the
+//! rendered-response byte cache (when configured), and concurrent cache
+//! misses for the same `(t, opts, protocol)` are **coalesced**: a
 //! single-flight table makes one session render while the rest wait and
 //! share the framed bytes (see `histql::FlightTable`). `STATS SERVER`
-//! reports the event core's connection, queue, and coalescing counters.
+//! reports the connection, queue, and coalescing counters.
 //!
 //! Shutdown drains with a deadline ([`ServerHandle::shutdown_within`]):
 //! idle sessions are closed immediately, in-flight requests get to finish,
@@ -57,16 +53,15 @@
 //! S: END
 //! ```
 
-use std::io::{self, BufRead};
+use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use historygraph::{ShardedGraphManager, SharedGraphManager};
+use historygraph::ShardedGraphManager;
 
 pub mod client;
 mod event;
 mod http;
-mod threaded;
 
 pub use client::Client;
 
@@ -85,9 +80,7 @@ pub struct ServerConfig {
     /// How long [`ServerHandle::shutdown`] waits for connections to finish
     /// on their own before force-closing the remaining (idle) sessions.
     pub drain_timeout: Duration,
-    /// Worker threads executing requests in the event-driven core (clamped
-    /// to at least 1; ignored by the threaded core, which spends a thread
-    /// per connection instead).
+    /// Worker threads executing requests (clamped to at least 1).
     pub worker_threads: usize,
     /// Collect per-verb and per-phase latency histograms, path counters,
     /// and (when [`ServerConfig::slow_query_us`] is set) the slow-query
@@ -101,19 +94,18 @@ pub struct ServerConfig {
     /// SLOW`. `0` (the default) disables capture.
     pub slow_query_us: u64,
     /// Bind a plaintext HTTP scrape endpoint (`GET /metrics`, Prometheus
-    /// exposition format) on this address — served off the reactor in the
-    /// event core, a dedicated thread in the threaded core. `None` (the
-    /// default) binds nothing.
+    /// exposition format) on this address, served off the reactor. `None`
+    /// (the default) binds nothing.
     pub metrics_addr: Option<String>,
     /// Per-request deadline in milliseconds, covering queue wait plus
-    /// service (event core only). A request whose deadline expires while it
+    /// service. A request whose deadline expires while it
     /// is still queued is refused with `ERR deadline exceeded` instead of
     /// executing; a request that overruns during service still gets its
     /// reply (aborting mid-execution could tear a session) but is counted.
     /// Both show up as `deadline_exceeded_total`. `0` (the default)
     /// disables the deadline.
     pub request_timeout_ms: u64,
-    /// Admission cap on the worker queue (event core only). A request that
+    /// Admission cap on the worker queue. A request that
     /// arrives while this many requests are already queued is shed with
     /// `ERR overloaded` without taking a queue slot — the connection
     /// survives and may retry. Counted as `requests_shed_total`. `0` (the
@@ -137,17 +129,12 @@ impl Default for ServerConfig {
     }
 }
 
-enum HandleInner {
-    Event(event::Core),
-    Threaded(threaded::Core),
-}
-
 /// Handle to a running server; shuts it down (with a drain) on drop.
 pub struct ServerHandle {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     drain_timeout: Duration,
-    inner: HandleInner,
+    core: event::Core,
 }
 
 impl ServerHandle {
@@ -162,14 +149,11 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// Number of connections currently being served (including, in the
-    /// event core, closed connections whose in-flight request has not yet
-    /// returned from the worker pool — their overlays are still held).
+    /// Number of connections currently being served (including closed
+    /// connections whose in-flight request has not yet returned from the
+    /// worker pool — their overlays are still held).
     pub fn active_connections(&self) -> usize {
-        match &self.inner {
-            HandleInner::Event(core) => core.active(),
-            HandleInner::Threaded(core) => core.active(),
-        }
+        self.core.active()
     }
 
     /// Stops accepting connections and drains the existing ones with the
@@ -187,10 +171,7 @@ impl ServerHandle {
     /// by a second deadline of the same length, so a wedged request cannot
     /// hang the caller forever).
     pub fn shutdown_within(&mut self, deadline: Duration) {
-        match &mut self.inner {
-            HandleInner::Event(core) => core.shutdown_within(deadline),
-            HandleInner::Threaded(core) => core.shutdown_within(deadline),
-        }
+        self.core.shutdown_within(deadline);
     }
 }
 
@@ -200,18 +181,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts serving `shared` according to `config` on the event-driven core;
+/// Starts serving a time-range-sharded store according to `config`;
 /// returns once the listener is bound, with the reactor and worker pool
-/// running in background threads.
-pub fn serve(shared: SharedGraphManager, config: ServerConfig) -> io::Result<ServerHandle> {
-    serve_sharded(ShardedGraphManager::single(shared), config)
-}
-
-/// Starts serving a time-range-sharded store on the event-driven core:
-/// every session's executor targets the router, so point queries land on
-/// the shard owning their time, multipoint queries fan out across shards
-/// in parallel, and `APPEND`s go to the tail shard without contending with
-/// historical reads. A single-shard router behaves exactly like [`serve`].
+/// running in background threads. Every session's executor targets the
+/// router, so point queries land on the shard owning their time,
+/// multipoint queries fan out across shards in parallel, and `APPEND`s go
+/// to the tail shard without contending with historical reads. A
+/// one-shard router serves the whole history from one manager.
 pub fn serve_sharded(
     router: ShardedGraphManager,
     config: ServerConfig,
@@ -221,94 +197,30 @@ pub fn serve_sharded(
         addr,
         metrics_addr,
         drain_timeout: config.drain_timeout,
-        inner: HandleInner::Event(core),
+        core,
     })
-}
-
-/// Starts serving on the original thread-per-connection core — the
-/// baseline the event-driven core is benchmarked against. Same protocol,
-/// limits, and drain semantics as [`serve`].
-pub fn serve_threaded(
-    shared: SharedGraphManager,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    serve_sharded_threaded(ShardedGraphManager::single(shared), config)
-}
-
-/// Sharded variant of [`serve_threaded`].
-pub fn serve_sharded_threaded(
-    router: ShardedGraphManager,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    let (addr, metrics_addr, core) = threaded::start(router, &config)?;
-    Ok(ServerHandle {
-        addr,
-        metrics_addr,
-        drain_timeout: config.drain_timeout,
-        inner: HandleInner::Threaded(core),
-    })
-}
-
-/// Reads one `\n`-terminated line without buffering more than `max` bytes:
-/// `Ok(None)` on a clean EOF, `Err(InvalidData)` when the cap is exceeded
-/// (the line is abandoned unread). `read_line` alone would buffer an entire
-/// newline-less stream into memory before any length check could run.
-pub(crate) fn read_bounded_line(
-    reader: &mut impl BufRead,
-    line: &mut String,
-    max: usize,
-) -> io::Result<Option<()>> {
-    line.clear();
-    let mut bytes = Vec::new();
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            // EOF: a non-empty unterminated tail still counts as a line.
-            return Ok(if bytes.is_empty() {
-                None
-            } else {
-                *line = String::from_utf8_lossy(&bytes).into_owned();
-                Some(())
-            });
-        }
-        let (chunk, found) = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => (&buf[..=i], true),
-            None => (buf, false),
-        };
-        if bytes.len() + chunk.len() > max {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "line exceeds maximum length",
-            ));
-        }
-        bytes.extend_from_slice(chunk);
-        let consumed = chunk.len();
-        reader.consume(consumed);
-        if found {
-            *line = String::from_utf8_lossy(&bytes).into_owned();
-            return Ok(Some(()));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use historygraph::{GraphManager, GraphManagerConfig};
-    use std::io::{BufReader, Write};
+    use historygraph::{ShardedConfig, SharedGraphManager};
+    use std::io::{BufRead, BufReader, Write};
     use std::thread;
     use std::time::Instant;
     use tgraph::{AttrOptions, Timestamp};
 
+    /// Serves a one-shard router over the toy trace; returns the server
+    /// and the shard's manager handle for in-process assertions.
     fn start(max_connections: usize) -> (ServerHandle, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
+        let router = ShardedGraphManager::build_in_memory(
             &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
+            ShardedConfig::default(),
         )
         .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        let handle = serve(
-            shared.clone(),
+        let shared = router.shard_at(0).unwrap();
+        let handle = serve_sharded(
+            router,
             ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 max_connections,
@@ -416,31 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_line_reader_rejects_newline_less_floods() {
-        use std::io::Cursor;
-        let mut line = String::new();
-        // A 1 MiB stream with no newline must be rejected once the cap is
-        // exceeded, long before the whole stream is buffered.
-        let flood = vec![b'a'; 1024 * 1024];
-        let mut r = std::io::BufReader::new(Cursor::new(flood));
-        let err = read_bounded_line(&mut r, &mut line, 4096).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Normal lines and EOF behave like read_line.
-        let mut r = std::io::BufReader::new(Cursor::new(b"hello\nworld".to_vec()));
-        assert!(read_bounded_line(&mut r, &mut line, 4096)
-            .unwrap()
-            .is_some());
-        assert_eq!(line, "hello\n");
-        assert!(read_bounded_line(&mut r, &mut line, 4096)
-            .unwrap()
-            .is_some());
-        assert_eq!(line, "world");
-        assert!(read_bounded_line(&mut r, &mut line, 4096)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
     fn oversized_request_line_is_refused() {
         let (server, _shared) = start(4);
         let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
@@ -532,7 +419,7 @@ mod tests {
         );
         let router = ShardedGraphManager::build_in_memory(
             &events,
-            historygraph::ShardedConfig::default()
+            ShardedConfig::default()
                 .with_shards(shards)
                 .with_manager(historygraph::GraphManagerConfig::default().with_snapshot_cache(16)),
         )
@@ -661,68 +548,5 @@ mod tests {
         });
         writer.join().unwrap();
         reader.join().unwrap();
-    }
-
-    // --- threaded-core parity ---------------------------------------------
-
-    fn start_threaded(max_connections: usize) -> (ServerHandle, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
-        )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        let handle = serve_threaded(
-            shared.clone(),
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                max_connections,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        (handle, shared)
-    }
-
-    #[test]
-    fn threaded_core_round_trips_and_refuses_at_cap() {
-        let (server, _shared) = start_threaded(2);
-        let mut a = Client::connect(server.addr()).unwrap();
-        let mut b = Client::connect(server.addr()).unwrap();
-        assert_eq!(a.send("PING").unwrap(), vec!["OK PONG"]);
-        assert!(b.send("GET GRAPH AT 6").unwrap()[0].starts_with("OK GRAPH"));
-        let mut c = Client::connect(server.addr()).unwrap();
-        assert_eq!(c.recv().unwrap(), vec!["ERR server busy"]);
-    }
-
-    #[test]
-    fn threaded_core_reports_real_server_stats() {
-        let (server, _shared) = start_threaded(2);
-        let mut a = Client::connect(server.addr()).unwrap();
-        let mut b = Client::connect(server.addr()).unwrap();
-        a.send("PING").unwrap();
-        b.send("PING").unwrap();
-        let mut c = Client::connect(server.addr()).unwrap();
-        assert_eq!(c.recv().unwrap(), vec!["ERR server busy"]);
-        // Satellite parity: the threaded core reports real connection
-        // counters; queue_depth and workers stay 0 (event-core-only — this
-        // core has no worker queue).
-        let lines = a.send("STATS SERVER").unwrap();
-        assert_eq!(
-            lines[0],
-            "OK SERVER connections=2 accepted=2 rejected=1 queue_depth=0 workers=0"
-        );
-    }
-
-    #[test]
-    fn threaded_core_drains_idle_sessions() {
-        let (mut server, shared) = start_threaded(8);
-        let mut a = Client::connect(server.addr()).unwrap();
-        a.send_ok("GET GRAPH AT 6").unwrap();
-        assert_eq!(shared.read().pool().active_overlay_count(), 1);
-        server.shutdown_within(Duration::from_secs(5));
-        assert_eq!(server.active_connections(), 0);
-        assert_eq!(shared.read().pool().active_overlay_count(), 0);
-        assert!(a.send("PING").is_err());
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! 1. seal `segment-g.seg` from `tailseed-g.seg` + the replayed WAL,
 //! 2. write `tailseed-(g+1).seg` with the new tail's seed events,
-//! 3. create `wal-(g+1).log` holding the roll-triggering event, fsynced,
+//! 3. create `wal-(g+1).log` holding the roll-triggering record, fsynced,
 //! 4. atomically swap the `MANIFEST` to generation `g+1`,
 //! 5. delete the old generation's tailseed and WAL (best-effort).
 //!
@@ -512,24 +512,27 @@ impl DurableState {
         }
     }
 
-    /// Appends one event record ahead of the in-memory apply. Returns the
-    /// rollback offset for [`DurableState::rollback`].
+    /// Appends a whole batch write-ahead as one WAL record: one write, one
+    /// checksum, one sync under the policy. Recovery therefore keeps the
+    /// batch whole or, when a crash tore the record, drops it whole.
+    /// Returns the batch's start offset — [`DurableState::rollback`] with
+    /// it removes the entire batch.
     ///
     /// Transient IO errors are retried (truncating any partial record back
     /// first so the retry lands on a clean boundary). A fatal error rolls
     /// the record back best-effort and flips the tail to read-only degraded
     /// mode: this and every later append returns [`StoreError::Degraded`],
     /// reads keep serving, and the process stays up.
-    pub fn append(&mut self, event: &Event) -> DgResult<u64> {
+    pub fn append_batch(&mut self, events: &[Event]) -> DgResult<u64> {
         if let Some(reason) = &self.degraded {
             return Err(DgError::Store(StoreError::Degraded(format!(
                 "tail shard is read-only: {reason}"
             ))));
         }
-        let before = self.wal.len();
+        let start = self.wal.len();
         let mut attempt = 0u32;
         let err = loop {
-            match self.wal.append(event) {
+            match self.wal.append_batch(events) {
                 Ok(off) => return Ok(off),
                 Err(e) => {
                     let e = DgError::from(e);
@@ -538,7 +541,7 @@ impl DurableState {
                         self.retries += 1;
                         // A failed write may have left partial bytes; cut
                         // back to the record boundary before retrying.
-                        if self.wal.truncate_to(before).is_err() {
+                        if self.wal.truncate_to(start).is_err() {
                             break e;
                         }
                         backoff(attempt);
@@ -550,55 +553,10 @@ impl DurableState {
         };
         // Fatal: undo the partial record (best-effort — recovery repairs a
         // torn tail anyway) and degrade instead of crashing.
-        self.wal.truncate_to(before).ok();
-        self.degraded = Some(err.to_string());
-        Err(DgError::Store(StoreError::Degraded(format!(
-            "tail append failed, shard now read-only: {err}"
-        ))))
-    }
-
-    /// Appends a whole batch write-ahead, as one unit: every record lands or
-    /// none do. Returns the batch's start offset — [`DurableState::rollback`]
-    /// with it removes the entire batch, never leaving a prefix on disk.
-    ///
-    /// Retry and degradation accounting is per *batch*, not per event: a
-    /// transient fault truncates back to the batch start, counts one retry,
-    /// and rewrites the whole batch; a fatal fault counts one degraded-mode
-    /// transition, exactly as a failed single append would.
-    pub fn append_batch(&mut self, events: &[Event]) -> DgResult<u64> {
-        if let Some(reason) = &self.degraded {
-            return Err(DgError::Store(StoreError::Degraded(format!(
-                "tail shard is read-only: {reason}"
-            ))));
-        }
-        let start = self.wal.len();
-        let mut attempt = 0u32;
-        let err = loop {
-            let failed = events
-                .iter()
-                .find_map(|ev| self.wal.append(ev).err().map(DgError::from));
-            match failed {
-                None => return Ok(start),
-                Some(e) => {
-                    if attempt < MAX_IO_RETRIES && is_transient(&e) {
-                        attempt += 1;
-                        self.retries += 1;
-                        // Cut the partial batch (and any torn record) back to
-                        // the batch boundary before rewriting it whole.
-                        if self.wal.truncate_to(start).is_err() {
-                            break e;
-                        }
-                        backoff(attempt);
-                    } else {
-                        break e;
-                    }
-                }
-            }
-        };
         self.wal.truncate_to(start).ok();
         self.degraded = Some(err.to_string());
         Err(DgError::Store(StoreError::Degraded(format!(
-            "tail batch append failed, shard now read-only: {err}"
+            "tail append failed, shard now read-only: {err}"
         ))))
     }
 
@@ -610,8 +568,9 @@ impl DurableState {
 
     /// The crash-atomic roll protocol (module docs): seals the current tail
     /// into a segment, starts generation `tail_gen + 1` whose WAL holds the
-    /// roll-triggering `events` (one for a plain `APPEND`, the whole batch
-    /// for an `APPEND BATCH` — a recovered tail never sees a batch prefix),
+    /// roll-triggering `events` as one record (one event for a plain
+    /// `APPEND`, the whole batch for an `APPEND BATCH` — a recovered tail
+    /// never sees a batch prefix),
     /// and commits by swapping the manifest.
     /// Nothing is visible to recovery until the swap; after `Ok` the caller
     /// must install the new in-memory tail shard.
@@ -661,12 +620,10 @@ impl DurableState {
         let policy = self.wal.policy();
         let mut new_wal = retried(&mut retries, || Ok(Wal::create(&new_wal_path, policy)?))?;
         retried(&mut retries, || {
-            // Restart the trigger records from scratch on each retry: the
+            // Restart the trigger record from scratch on each retry: the
             // fresh log is empty, so truncating to zero is always right.
             new_wal.truncate_to(0)?;
-            for event in events {
-                new_wal.append(event)?;
-            }
+            new_wal.append_batch(events)?;
             Ok(new_wal.sync()?)
         })?;
         // 4. Commit.
@@ -686,16 +643,21 @@ impl DurableState {
         Ok(())
     }
 
-    /// Drops the last WAL record: recovery's second chance when the rebuild
-    /// rejects the final replayed event (a crash between the write-ahead
-    /// and the rollback of a failed apply leaves exactly one such record).
-    pub fn drop_last_wal_record(&mut self, record_len: u64) -> DgResult<()> {
-        let new_len = self.wal.len().saturating_sub(record_len);
-        self.wal.truncate_to(new_len)?;
+    /// Drops the WAL's last whole record — a single event or a whole
+    /// batch — and returns how many events it held (0 for an empty log):
+    /// recovery's second chance when the rebuild rejects the final replayed
+    /// record (a crash between the write-ahead and the rollback of a failed
+    /// apply leaves exactly one such record).
+    pub fn drop_last_wal_record(&mut self) -> DgResult<usize> {
+        let Some((start, events)) = self.wal.last_record()? else {
+            return Ok(0);
+        };
+        let record_len = self.wal.len() - start;
+        self.wal.truncate_to(start)?;
         self.wal.sync()?;
         self.torn_bytes += record_len;
         self.torn_truncations += 1;
-        Ok(())
+        Ok(events)
     }
 
     /// Forces any buffered WAL bytes down now (shutdown path). A no-op in
@@ -835,7 +797,7 @@ mod tests {
         let dir = tmpdir("roll");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
         let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
-        st.append(&Event::add_node(2, 2)).unwrap();
+        st.append_batch(&[Event::add_node(2, 2)]).unwrap();
         let trigger = Event::add_node(5, 3);
         st.roll(
             Timestamp(5),
@@ -925,12 +887,12 @@ mod tests {
             Some(1),
             Some(&scope),
         );
-        let err = st.append(&Event::add_node(2, 2)).unwrap_err();
+        let err = st.append_batch(&[Event::add_node(2, 2)]).unwrap_err();
         assert!(err.to_string().contains("DEGRADED"), "got: {err}");
         faults::clear("wal.append");
         // Degraded is sticky: even with the device healthy again, appends
         // are refused until a restart re-opens the directory.
-        let err = st.append(&Event::add_node(3, 3)).unwrap_err();
+        let err = st.append_batch(&[Event::add_node(3, 3)]).unwrap_err();
         assert!(err.to_string().contains("DEGRADED"), "got: {err}");
         assert!(st.is_degraded());
         assert!(st.sync().is_ok(), "shutdown sync is a no-op when degraded");
@@ -957,7 +919,7 @@ mod tests {
             Some(2),
             Some(&scope),
         );
-        st.append(&Event::add_node(2, 2))
+        st.append_batch(&[Event::add_node(2, 2)])
             .expect("transient faults retry through");
         assert!(st.retries() >= 2);
         assert!(!st.is_degraded());

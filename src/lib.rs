@@ -24,13 +24,14 @@
 //! (GraphPool maintenance), the embedded history manager (DeltaGraph
 //! planning and I/O), and the query-manager duties of translating external
 //! keys to internal ids and attribute-option strings into typed options.
-//! On top of the facade sit [`SharedGraphManager`] (the concurrent
-//! read/write split used by the TCP server), the [`cache`] module's
-//! shared snapshot cache, which serves hot point retrievals from one
-//! reference-counted pool overlay shared across sessions, and the
-//! [`sharded`] module's [`ShardedGraphManager`]: a router over N
-//! time-range shards (each a complete `SharedGraphManager` with its own
-//! caches) so appends stop serializing against historical reads.
+//! On top of the facade sits the one public serving handle, the
+//! [`sharded`] module's [`ShardedGraphManager`]: a router over time-range
+//! shards — one by default — so appends stop serializing against
+//! historical reads. Each shard is a [`SharedGraphManager`] (the
+//! concurrent read/write split) with its own [`cache`] of snapshots,
+//! which serves hot point retrievals from one reference-counted pool
+//! overlay shared across sessions; shards are built only by the router
+//! and reached through it.
 //!
 //! ```
 //! use historygraph::{GraphManager, GraphManagerConfig};

@@ -261,22 +261,27 @@ impl ShardCell {
             Ok(shared) => Ok(shared),
             Err(first_err) if p.is_tail => {
                 // A crash between the WAL write-ahead and the rollback of a
-                // rejected apply leaves exactly one never-applied record at
-                // the very end of the log. Drop it and rebuild once; any
-                // deeper failure is real corruption. (Before lazy recovery
-                // this retry ran inside `open`; it moves with the build.)
-                match (p.plan.events.pop(), inner.storage.as_ref()) {
-                    (Some(last), Some(storage)) => storage
+                // rejected apply leaves exactly one never-applied record —
+                // one event or a whole batch — at the very end of the log.
+                // Drop it and rebuild once; any deeper failure is real
+                // corruption.
+                let dropped = inner.storage.as_ref().map(|storage| {
+                    storage
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .drop_last_wal_record(kvstore::wal_record_len(&last))
-                        .and_then(|()| {
-                            // The record is gone from the log and the plan,
-                            // whatever the rebuild does — keep the counter
-                            // in step with both.
-                            events.fetch_sub(1, Ordering::Relaxed);
-                            Self::build_plan(&p, inner)
-                        }),
+                        .drop_last_wal_record()
+                });
+                match dropped {
+                    Some(Ok(dropped)) if dropped > 0 => {
+                        // The record is gone from the log; drop it from the
+                        // plan and the counter too, whatever the rebuild
+                        // does.
+                        let kept = p.plan.events.len().saturating_sub(dropped);
+                        p.plan.events.truncate(kept);
+                        events.fetch_sub(dropped, Ordering::Relaxed);
+                        Self::build_plan(&p, inner)
+                    }
+                    Some(Err(e)) => Err(e),
                     _ => Err(first_err),
                 }
             }
@@ -967,30 +972,6 @@ impl ShardedGraphManager {
         Ok(bounds)
     }
 
-    /// Wraps one existing shared manager as a single-shard router (no
-    /// boundaries, no rolling) — the compatibility path for callers built
-    /// around [`SharedGraphManager`]. The router cannot see how many
-    /// events the wrapped manager was built over, so `STATS SHARDS`
-    /// counts only events appended *through* the router.
-    pub fn single(shared: SharedGraphManager) -> Self {
-        ShardedGraphManager {
-            inner: Arc::new(Inner {
-                shards: RwLock::new(vec![Shard {
-                    cell: ShardCell::eager(shared),
-                    lower: None,
-                    events: AtomicUsize::new(0),
-                    queries: AtomicU64::new(0),
-                    appends: AtomicU64::new(0),
-                }]),
-                config: ShardedConfig::default(),
-                // Unreachable while shard_events is 0 (rolling disabled).
-                make_store: Box::new(|_| Arc::new(MemStore::new())),
-                storage: None,
-                keys: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
     fn storage_guard(&self) -> Option<MutexGuard<'_, DurableState>> {
         self.inner
             .storage
@@ -1125,18 +1106,12 @@ impl ShardedGraphManager {
 
     /// Whether the per-shard managers were configured with a snapshot cache.
     pub fn cache_enabled(&self) -> bool {
-        match self.read_shards()[0].cell.peek() {
-            Some(shared) => shared.cache_enabled(),
-            None => self.inner.config.manager.snapshot_cache_capacity > 0,
-        }
+        self.inner.config.manager.snapshot_cache_capacity > 0
     }
 
     /// Whether the per-shard managers were configured with a response cache.
     pub fn response_cache_enabled(&self) -> bool {
-        match self.read_shards()[0].cell.peek() {
-            Some(shared) => shared.response_cache_enabled(),
-            None => self.inner.config.manager.response_cache_capacity > 0,
-        }
+        self.inner.config.manager.response_cache_capacity > 0
     }
 
     // Note: there are deliberately no router-level response-cache get/put —
@@ -1402,13 +1377,14 @@ impl ShardedGraphManager {
     }
 
     /// Applies an already-expanded event sequence to the tail manager,
-    /// writing it ahead to the WAL first when the router is durable — the
-    /// WAL therefore always records the normalized, well-formed stream that
-    /// recovery rebuilds from. If the in-memory apply rejects the sequence,
-    /// the WAL records are rolled back to the sequence's start offset so
-    /// recovery never replays a refused event or a batch prefix (a crash
-    /// inside this window is healed by [`ShardedGraphManager::open`]'s
-    /// drop-last-record retry).
+    /// writing it ahead to the WAL first, as one record, when the router is
+    /// durable — the WAL therefore always records the normalized,
+    /// well-formed stream that recovery rebuilds from, and a torn write
+    /// loses the whole sequence, never leaves a prefix. If the in-memory
+    /// apply rejects the sequence, the record is rolled back so recovery
+    /// never replays a refused event (a crash inside this window is healed
+    /// by the tail hydration's drop-last-record retry, see
+    /// [`ShardCell::get`]).
     fn apply_tail_prepared(
         &self,
         gm: &mut GraphManager,
@@ -1417,12 +1393,7 @@ impl ShardedGraphManager {
     ) -> DgResult<BatchOutcome> {
         match self.storage_guard() {
             Some(mut st) => {
-                // Single events keep the per-record write (and its
-                // accounting); batches go write-ahead as one unit.
-                let offset = match expanded {
-                    [single] => st.append(single)?,
-                    many => st.append_batch(many)?,
-                };
+                let offset = st.append_batch(expanded)?;
                 match gm.apply_prepared(expanded, normalized) {
                     Ok(outcome) => Ok(outcome),
                     Err(e) => {
@@ -1480,24 +1451,16 @@ impl ShardedGraphManager {
 
     /// Resolves an application key (the table is identical on every shard).
     pub fn resolve_key(&self, key: &str) -> Option<tgraph::NodeId> {
-        let shards = self.read_shards();
-        {
-            let keys = self
-                .inner
-                .keys
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Latest registration wins, matching the managers' table.
-            if let Some(&(_, node)) = keys.iter().rev().find(|(k, _)| k == key) {
-                return Some(node);
-            }
-        }
-        // Keys registered on a wrapped manager before `single()` took it
-        // are only in the manager's own table.
-        shards[0]
-            .cell
-            .peek()
-            .and_then(|shared| shared.read().resolve_key(key))
+        let keys = self
+            .inner
+            .keys
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Latest registration wins, matching the managers' table.
+        keys.iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|&(_, node)| node)
     }
 
     /// Per-shard serving statistics, in time order (tail last). Never
@@ -1597,33 +1560,18 @@ impl ShardedGraphManager {
     /// `(t, opts)`; capacities are per shard.
     pub fn cache_overview(&self) -> CacheOverview {
         let shards = self.read_shards();
-        // Capacities from the built first shard when there is one (the
-        // `single()` wrapper may carry a config the router never saw),
-        // otherwise from the router config the cold shards will build with.
-        let mut overview = match shards[0].cell.peek() {
-            Some(shared) => {
-                let gm = shared.read();
-                CacheOverview {
-                    capacity: gm.cache_capacity(),
-                    stats: CacheStats::default(),
-                    overlays: 0,
-                    entries: Vec::new(),
-                    response_capacity: gm.response_cache_capacity(),
-                    response_byte_budget: gm.response_cache_byte_budget(),
-                    response_entries: 0,
-                    response: ResponseCacheStats::default(),
-                }
-            }
-            None => CacheOverview {
-                capacity: self.inner.config.manager.snapshot_cache_capacity,
-                stats: CacheStats::default(),
-                overlays: 0,
-                entries: Vec::new(),
-                response_capacity: self.inner.config.manager.response_cache_capacity,
-                response_byte_budget: self.inner.config.manager.response_cache_bytes,
-                response_entries: 0,
-                response: ResponseCacheStats::default(),
-            },
+        // Capacities are per shard, and every shard builds with the
+        // router's manager config.
+        let manager = &self.inner.config.manager;
+        let mut overview = CacheOverview {
+            capacity: manager.snapshot_cache_capacity,
+            stats: CacheStats::default(),
+            overlays: 0,
+            entries: Vec::new(),
+            response_capacity: manager.response_cache_capacity,
+            response_byte_budget: manager.response_cache_bytes,
+            response_entries: 0,
+            response: ResponseCacheStats::default(),
         };
         for shard in shards.iter() {
             // A cold shard has empty caches and no overlays: contributes
@@ -1960,7 +1908,7 @@ impl ShardedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::{churn_trace, toy_trace, ChurnConfig};
+    use datagen::{churn_trace, ChurnConfig};
 
     /// 60 nodes appearing at t = 1..=60, so shard contents are predictable.
     fn linear_trace() -> EventList {
@@ -2317,26 +2265,6 @@ mod tests {
     }
 
     #[test]
-    fn single_wrapping_preserves_shared_manager_behavior() {
-        let gm = GraphManager::build_in_memory(
-            &toy_trace().events,
-            GraphManagerConfig::default().with_snapshot_cache(8),
-        )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        let sharded = ShardedGraphManager::single(shared.clone());
-        assert_eq!(sharded.shard_count(), 1);
-        assert!(sharded.cache_enabled());
-        let mut session = sharded.session();
-        let point = session
-            .retrieve_cached(Timestamp(6), &AttrOptions::all())
-            .unwrap();
-        assert!(!point.cache_hit);
-        // The wrapped handle and the router see the same manager.
-        assert_eq!(shared.read().cache_len(), 1);
-    }
-
-    #[test]
     fn shard_info_roundtrips_through_the_codec() {
         let info = ShardInfo {
             index: 2,
@@ -2558,7 +2486,7 @@ mod tests {
         assert_eq!(opened.shard_infos()[tail].events, events_before - 1);
         assert_eq!(
             std::fs::metadata(&wal_file).unwrap().len(),
-            poisoned_len - kvstore::wal_record_len(&bad),
+            poisoned_len - kvstore::wal_record_len(std::slice::from_ref(&bad)),
             "exactly the poisoned record must be dropped from the log"
         );
         // The healed tail keeps ingesting, and the heal is durable: a
@@ -2646,6 +2574,78 @@ mod tests {
             .unwrap();
         assert!(opened.is_hydrated(shards - 1));
         assert!(opened.storage_info().wal_appends >= 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_rejected_batch_record_is_dropped_whole_on_first_tail_touch() {
+        let dir = durable_dir("heal-batch");
+        let config = ShardedConfig::default().with_shards(2);
+        drop(
+            ShardedGraphManager::build_durable(
+                &linear_trace(),
+                config.clone(),
+                &dir,
+                WalSyncPolicy::Always,
+            )
+            .unwrap(),
+        );
+        let wal_file = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| {
+                p.extension().is_some_and(|x| x == "log")
+                    && p.file_name().is_some_and(|f| f != "keys.log")
+            })
+            .expect("wal file");
+        // A crash left a written-ahead batch whose apply was refused: its
+        // first event is fine, its second re-adds node 1001. Recovery must
+        // drop the whole batch, not just its refused event.
+        let batch = [Event::add_node(61, 7001), Event::add_node(61, 1001)];
+        let mut replay = kvstore::wal::Wal::open(&wal_file, WalSyncPolicy::Always).unwrap();
+        replay.wal.append_batch(&batch).unwrap();
+        drop(replay);
+        let poisoned_len = std::fs::metadata(&wal_file).unwrap().len();
+
+        let opened = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Always).unwrap();
+        let tail = opened.shard_count() - 1;
+        let events_before = opened.shard_infos()[tail].events;
+        let snap = opened
+            .snapshot_at(Timestamp(61), &AttrOptions::all())
+            .unwrap();
+        assert_eq!(snap.node_count(), 60);
+        assert!(!snap.has_node(tgraph::NodeId(7001)), "no batch prefix");
+        assert_eq!(opened.shard_infos()[tail].events, events_before - 2);
+        assert_eq!(
+            std::fs::metadata(&wal_file).unwrap().len(),
+            poisoned_len - kvstore::wal_record_len(&batch),
+            "exactly the poisoned batch record must be dropped from the log"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_costs_one_wal_record_and_one_fsync_under_always() {
+        let dir = durable_dir("batch-fsync");
+        let sharded = ShardedGraphManager::build_durable(
+            &linear_trace(),
+            ShardedConfig::default().with_shards(2),
+            &dir,
+            WalSyncPolicy::Always,
+        )
+        .unwrap();
+        let before = sharded.storage_info();
+        let batch: Vec<Event> = (0..8)
+            .map(|i| Event::add_node(61 + i, 5000 + i as u64))
+            .collect();
+        sharded.append_batch(batch.clone()).unwrap();
+        let after = sharded.storage_info();
+        assert_eq!(after.wal_appends - before.wal_appends, 1);
+        assert_eq!(after.wal_fsyncs - before.wal_fsyncs, 1);
+        assert_eq!(
+            after.wal_bytes - before.wal_bytes,
+            kvstore::wal_record_len(&batch)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

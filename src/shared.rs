@@ -6,7 +6,9 @@
 //! [`SharedGraphManager`] exploits that split: the expensive part of a query
 //! (planning, delta fetches, eventlist replay) runs under a shared read
 //! lock, so many sessions retrieve concurrently, and only the cheap overlay
-//! and append operations take the exclusive write lock.
+//! and append operations take the exclusive write lock. Every shard of a
+//! [`crate::ShardedGraphManager`] is one of these; only the router builds
+//! them, and callers reach them through it (`shard_at`, `shard_handles`).
 //!
 //! Sessions track the pool handles they create through a [`PoolSession`];
 //! dropping the session releases its overlays and runs the lazy cleaner, so
@@ -41,8 +43,10 @@ const _: fn() = || {
 };
 
 impl SharedGraphManager {
-    /// Wraps a manager for shared use.
-    pub fn new(manager: GraphManager) -> Self {
+    /// Wraps a manager for shared use. Only the router builds shards;
+    /// everything outside this crate reaches a manager through a
+    /// [`crate::ShardedGraphManager`].
+    pub(crate) fn new(manager: GraphManager) -> Self {
         let cache_capacity = manager.cache_capacity();
         let response_cache_capacity = manager.response_cache_capacity();
         SharedGraphManager {
@@ -55,7 +59,7 @@ impl SharedGraphManager {
     /// Rebuilds a shared manager from a sealed shard segment (see
     /// [`GraphManager::build_from_segment`]); the recovery path for both
     /// historical shards and the tail after a restart.
-    pub fn from_segment(
+    pub(crate) fn from_segment(
         segment: &kvstore::Segment,
         config: crate::manager::GraphManagerConfig,
         store: std::sync::Arc<dyn kvstore::KeyValueStore>,

@@ -1,22 +1,18 @@
 //! End-to-end atomic-visibility tests for `APPEND BATCH` over the TCP
-//! servers: a writer streams multi-event batches while concurrent readers
+//! server: a writer streams multi-event batches while concurrent readers
 //! poll `GET GRAPH AT t` (text and binary protocol) and must never observe
 //! a partial batch — every reply reflects a whole number of batches.
 //!
-//! Covers both serving cores (the event-driven core via [`serve`] /
-//! [`serve_sharded`] and the thread-per-connection core via
-//! [`serve_threaded`]) plus the sharded router with a small shard budget so
-//! batches trigger tail rolls while readers are polling.
+//! Covers a one-shard router and a sharded router with a small shard
+//! budget, so batches trigger tail rolls while readers are polling.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use historygraph::{
-    GraphManager, GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager,
-};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
 use histql::{Frame, Response};
-use server::{serve, serve_sharded, serve_threaded, Client, ServerConfig, ServerHandle};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 use tgraph::{Event, EventList};
 
 /// In-process servers bind real sockets; serialize the tests so they don't
@@ -162,9 +158,12 @@ fn hammer(server: &ServerHandle) {
     }
 }
 
-fn in_memory_shared() -> SharedGraphManager {
-    let gm = GraphManager::build_in_memory(&base_events(), manager_config()).unwrap();
-    SharedGraphManager::new(gm)
+fn one_shard_router() -> ShardedGraphManager {
+    ShardedGraphManager::build_in_memory(
+        &base_events(),
+        ShardedConfig::default().with_manager(manager_config()),
+    )
+    .unwrap()
 }
 
 fn config() -> ServerConfig {
@@ -175,20 +174,11 @@ fn config() -> ServerConfig {
     }
 }
 
-/// Event-driven core: readers on both protocols never see a torn batch.
+/// One shard: readers on both protocols never see a torn batch.
 #[test]
 fn event_core_readers_never_observe_partial_batches() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut server = serve(in_memory_shared(), config()).unwrap();
-    hammer(&server);
-    server.shutdown();
-}
-
-/// Thread-per-connection core: same invariant.
-#[test]
-fn threaded_core_readers_never_observe_partial_batches() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut server = serve_threaded(in_memory_shared(), config()).unwrap();
+    let mut server = serve_sharded(one_shard_router(), config()).unwrap();
     hammer(&server);
     server.shutdown();
 }
@@ -228,7 +218,7 @@ fn sharded_router_rolls_tails_without_tearing_batches() {
 #[test]
 fn ill_formed_batch_over_the_wire_is_normalized() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut server = serve(in_memory_shared(), config()).unwrap();
+    let mut server = serve_sharded(one_shard_router(), config()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
     client

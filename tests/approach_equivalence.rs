@@ -224,26 +224,29 @@ proptest! {
 
 proptest! {
     /// Durable recovery extends the invariant to crashes: for random
-    /// streams, shard layouts, roll budgets, live appends, and a random
-    /// kill point (the WAL torn at an arbitrary byte offset), a recovered
-    /// router must answer point retrievals identically to an in-memory
-    /// manager replaying the surviving prefix of the stream. The prefix is
-    /// computed independently from the WAL's record framing, so this also
-    /// pins *which* events must survive a given tear.
+    /// streams, shard layouts, roll budgets, live appends (single events
+    /// and `APPEND BATCH`es), and a random kill point (the WAL torn at an
+    /// arbitrary byte offset), a recovered router must answer point
+    /// retrievals identically to an in-memory manager replaying the
+    /// surviving prefix of the stream. The prefix is computed from the
+    /// appends the test made and the WAL's record headers: every append —
+    /// a single event or a whole batch — is one record, so a tear keeps or
+    /// loses each batch whole and never leaves a batch prefix.
     #[test]
     fn prop_recovered_router_matches_in_memory_over_surviving_prefix(
         seed in 0u64..4,
         shard_count in 1usize..4,
         budget in 0usize..10,
-        appends in 1usize..12,
+        unit_sizes in proptest::collection::vec(1usize..5, 1..12),
         cut_frac in 0u64..101,
     ) {
-        use historygraph::kvstore::{read_wal_events, wal_record_len};
+        use historygraph::kvstore::read_wal_events;
         use historygraph::WalSyncPolicy;
 
         let dir = std::env::temp_dir().join(format!(
-            "recovery-equivalence-{}-{seed}-{shard_count}-{budget}-{appends}-{cut_frac}",
-            std::process::id()
+            "recovery-equivalence-{}-{seed}-{shard_count}-{budget}-{}-{cut_frac}",
+            std::process::id(),
+            unit_sizes.len(),
         ));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -260,17 +263,29 @@ proptest! {
             WalSyncPolicy::Off,
         )
         .unwrap();
+        // The stream's units in write order: every built event is its own
+        // unit, then each append — one event, or one batch at one time.
         let mut all_events: Vec<Event> = ds.events.events().to_vec();
-        for i in 0..appends as i64 {
-            let ev = Event::add_node(end + 1 + i, 900_000 + i as u64);
-            durable.append_event(ev.clone()).unwrap();
-            all_events.push(ev);
+        let mut units: Vec<usize> = vec![1; all_events.len()];
+        for (u, &size) in unit_sizes.iter().enumerate() {
+            let t = end + 1 + u as i64;
+            let unit: Vec<Event> = (0..size)
+                .map(|k| Event::add_node(t, 900_000 + (u * 8 + k) as u64))
+                .collect();
+            if size == 1 {
+                durable.append_event(unit[0].clone()).unwrap();
+            } else {
+                let outcome = durable.append_batch(unit.clone()).unwrap();
+                assert_eq!(outcome.applied, size);
+            }
+            all_events.extend(unit);
+            units.push(size);
         }
         drop(durable); // the "crash": no shutdown hook runs
 
-        // Tear the tail WAL at cut_frac% of its length and compute, purely
-        // from record framing, which suffix of the stream that destroys:
-        // the tail WAL holds the newest events, so losing its last records
+        // Tear the tail WAL at cut_frac% of its length. The tail WAL holds
+        // the newest units, one record each; a unit survives iff its whole
+        // record lies before the cut, and losing the log's last records
         // loses exactly the stream's tail.
         let wal = std::fs::read_dir(&dir)
             .unwrap()
@@ -280,25 +295,41 @@ proptest! {
                     && p.file_name().is_some_and(|f| f != "keys.log")
             })
             .expect("tail wal");
-        let tail_events = read_wal_events(&wal).unwrap();
-        let full_len = std::fs::metadata(&wal).unwrap().len();
-        let cut = full_len * cut_frac / 100;
-        let mut offset = 0u64;
-        let mut surviving_tail = 0usize;
-        for ev in &tail_events {
-            offset += wal_record_len(ev);
-            if offset > cut {
-                break;
-            }
-            surviving_tail += 1;
+        let mut in_wal = read_wal_events(&wal).unwrap().len();
+        let mut wal_units = Vec::new();
+        while in_wal > 0 {
+            let size = units.pop().expect("the WAL holds whole units");
+            assert!(size <= in_wal, "a unit straddles the WAL's start");
+            in_wal -= size;
+            wal_units.insert(0, size);
         }
+        let bytes = std::fs::read(&wal).unwrap();
+        let mut record_ends = Vec::new();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            // Record header: magic byte, payload length (u32 LE), CRC-32.
+            let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap());
+            pos += 9 + len as usize;
+            record_ends.push(pos as u64);
+        }
+        assert_eq!(
+            record_ends.len(),
+            wal_units.len(),
+            "every append, single or batch, is exactly one WAL record"
+        );
+        let cut = bytes.len() as u64 * cut_frac / 100;
+        let dropped: usize = record_ends
+            .iter()
+            .zip(&wal_units)
+            .filter(|(&end, _)| end > cut)
+            .map(|(_, &size)| size)
+            .sum();
         std::fs::OpenOptions::new()
             .write(true)
             .open(&wal)
             .unwrap()
             .set_len(cut)
             .unwrap();
-        let dropped = tail_events.len() - surviving_tail;
         let surviving = &all_events[..all_events.len() - dropped];
 
         if surviving.is_empty() {

@@ -8,20 +8,22 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use historygraph::datagen::toy_trace;
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager};
 use histql::{Frame, Response};
-use server::{serve, Client, ServerConfig, ServerHandle};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
 fn start(snap_cache: usize, resp_cache: usize) -> (ServerHandle, SharedGraphManager) {
-    let gm = GraphManager::build_in_memory(
+    let router = ShardedGraphManager::build_in_memory(
         &toy_trace().events,
-        GraphManagerConfig::default()
-            .with_snapshot_cache(snap_cache)
-            .with_response_cache(resp_cache),
+        ShardedConfig::default().with_manager(
+            GraphManagerConfig::default()
+                .with_snapshot_cache(snap_cache)
+                .with_response_cache(resp_cache),
+        ),
     )
     .unwrap();
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(shared.clone(), ServerConfig::default()).unwrap();
+    let shared = router.shard_at(0).unwrap();
+    let server = serve_sharded(router, ServerConfig::default()).unwrap();
     (server, shared)
 }
 

@@ -1,15 +1,16 @@
 //! End-to-end tests of the event-driven serving core over the wire:
 //! single-flight coalescing proven through `STATS SERVER`, freshness of
-//! cached point bytes across an interleaved `APPEND`, and the serving
-//! counters themselves.
+//! cached point bytes across an interleaved `APPEND`, the serving counters
+//! themselves, and pipelines that pass the reply backlog's high-water mark.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use historygraph::tgraph::{Event, EventList};
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
-use server::{serve, Client, ServerConfig, ServerHandle};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
 /// Serializes the tests in this binary. Each starts its own server inside
 /// this process, and the coalescing proof is timing-sensitive: a sibling
@@ -22,15 +23,17 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn start(events: &EventList, snap_cache: usize, resp_cache: usize) -> ServerHandle {
-    let gm = GraphManager::build_in_memory(
+    let router = ShardedGraphManager::build_in_memory(
         events,
-        GraphManagerConfig::default()
-            .with_snapshot_cache(snap_cache)
-            .with_response_cache(resp_cache),
+        ShardedConfig::default().with_manager(
+            GraphManagerConfig::default()
+                .with_snapshot_cache(snap_cache)
+                .with_response_cache(resp_cache),
+        ),
     )
     .unwrap();
-    serve(
-        SharedGraphManager::new(gm),
+    serve_sharded(
+        router,
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: 32,
@@ -245,4 +248,93 @@ fn pipelined_requests_without_reads_are_backpressured_not_dropped() {
     line.clear();
     std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
     assert_eq!(line, "END\n");
+}
+
+/// Parsing pauses once a connection's unwritten replies pass the outbox
+/// high-water mark (256 KiB); it must resume as soon as a flush drains
+/// them, because the request lines still buffered server-side will never
+/// get a readiness event of their own. Each session pipelines thousands
+/// of hot (response-cached) requests in one write, so the server holds
+/// every line before its first pause, and the replies pass the mark many
+/// times over. The clients start reading only once the server has backed
+/// up, then read in bursts at uneven gaps: a burst that frees the socket
+/// while the reactor is between pausing and flushing lets that flush
+/// drain the whole backlog with lines still buffered — which, without the
+/// resume, strands the rest of that session's pipeline for good.
+#[test]
+fn pipelined_hot_replies_past_the_backlog_mark_are_all_answered() {
+    let _serial = serial();
+    const SESSIONS: usize = 8;
+    // 3500 requests of 17 bytes: one write the server reads whole.
+    const REQUESTS: usize = 3_500;
+    let events = EventList::from_events(
+        (1..=600)
+            .map(|i| Event::add_node(i, 10_000 + i as u64))
+            .collect(),
+    );
+    let server = start(&events, 16, 16);
+    let request = "GET GRAPH AT 600\n";
+    // Render once so both caches hold the point and every pipelined
+    // request takes the reactor's inline fast path.
+    let reply_len = {
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.write_all(request.as_bytes()).unwrap();
+        read_reply(&mut sock).len()
+    };
+    let expected = reply_len * REQUESTS;
+    assert!(
+        expected > 16 * 256 * 1024,
+        "each pipeline must pass the high-water mark many times over"
+    );
+
+    let sessions: Vec<_> = (0..SESSIONS as u64)
+        .map(|session| {
+            let addr = server.addr();
+            std::thread::spawn(move || -> Result<(), String> {
+                let mut sock = TcpStream::connect(addr).unwrap();
+                sock.write_all(request.repeat(REQUESTS).as_bytes()).unwrap();
+                std::thread::sleep(Duration::from_millis(100));
+                // Hot replies are byte-identical: counting bytes counts
+                // replies.
+                sock.set_read_timeout(Some(Duration::from_millis(100)))
+                    .unwrap();
+                let deadline = Instant::now() + Duration::from_secs(20);
+                let mut received = 0usize;
+                let mut gap = session;
+                let mut buf = vec![0u8; 512 << 10];
+                while received < expected {
+                    if Instant::now() >= deadline {
+                        return Err(format!(
+                            "session {session} stalled: {} of {REQUESTS} replies arrived",
+                            received / reply_len
+                        ));
+                    }
+                    match sock.read(&mut buf) {
+                        Ok(0) => return Err(format!("session {session}: server closed")),
+                        Ok(n) => received += n,
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                            ) => {}
+                        Err(e) => return Err(format!("session {session}: {e}")),
+                    }
+                    // Uneven gaps (0.2-8 ms, a fixed LCG sequence per
+                    // session) keep the reader slower than the reactor on
+                    // average, so the outbox backs up again and again.
+                    gap = gap
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    std::thread::sleep(Duration::from_micros(200 + (gap >> 33) % 8000));
+                }
+                assert_eq!(received, expected, "session {session}: stray bytes");
+                Ok(())
+            })
+        })
+        .collect();
+    let failures: Vec<String> = sessions
+        .into_iter()
+        .filter_map(|s| s.join().unwrap().err())
+        .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
 }

@@ -228,10 +228,10 @@ proptest! {
     }
 }
 
-/// Transient faults inside one batch count **one retry per batch attempt**,
-/// not one per event: the whole batch is truncated back to its start offset
-/// and rewritten, so `storage_retries_total` moves by the number of rewrite
-/// rounds, never by the batch's width.
+/// Transient faults on a batch count **one retry per batch attempt**, not
+/// one per event: a batch is one WAL record, truncated back to its start
+/// offset and rewritten whole, so `storage_retries_total` moves by the
+/// number of rewrite rounds, never by the batch's width.
 #[test]
 fn transient_batch_fault_counts_one_retry_not_one_per_event() {
     let dir = std::env::temp_dir().join(format!("failpoint-batch-retry-{}", std::process::id()));
@@ -248,8 +248,8 @@ fn transient_batch_fault_counts_one_retry_not_one_per_event() {
     let router =
         ShardedGraphManager::build_durable(&events, config, &dir, WalSyncPolicy::Always).unwrap();
 
-    // One transient fault striking the middle record of a 3-event batch.
-    faults::arm_scoped("wal.append", FaultKind::Transient, 1, Some(1), Some(&scope));
+    // One transient fault striking the 3-event batch's one WAL write.
+    faults::arm_scoped("wal.append", FaultKind::Transient, 0, Some(1), Some(&scope));
     let batch: Vec<Event> = (0..3)
         .map(|k| Event::add_node(100 + k, 2000 + k as u64))
         .collect();
@@ -297,11 +297,12 @@ fn fatal_mid_batch_fault_leaves_pre_batch_state() {
         ShardedGraphManager::build_durable(&events, config.clone(), &dir, WalSyncPolicy::Always)
             .unwrap();
 
-    // EIO striking the middle record of the batch: fatal, no retry.
+    // A short write: half of the batch's one WAL record reaches the file,
+    // then EIO — a torn batch on disk, fatal, no retry.
     faults::arm_scoped(
         "wal.append",
-        FaultKind::Eio,
-        1,
+        FaultKind::ShortWrite,
+        0,
         Some(u64::MAX),
         Some(&scope),
     );

@@ -1,7 +1,8 @@
 //! End-to-end test of the `histql` + `server` subsystem: a server over a
 //! churn trace, driven by concurrent client sessions issuing every query
 //! verb, with each deterministic response verified against the same query
-//! executed directly against a `GraphManager`.
+//! executed in process, without sockets, and against the raw
+//! `GraphManager` API.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -9,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use historygraph::datagen::{churn_trace, uniform_timepoints, ChurnConfig};
 use historygraph::tgraph::Timestamp;
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
+use historygraph::{ShardedConfig, ShardedGraphManager};
 use histql::{Executor, Response};
-use server::{serve, Client, ServerConfig};
+use server::{serve_sharded, Client, ServerConfig};
 
 const SESSIONS: usize = 8;
 
@@ -42,8 +43,8 @@ fn setup() -> Setup {
     }
 }
 
-fn build_manager(events: &historygraph::tgraph::EventList) -> GraphManager {
-    GraphManager::build_in_memory(events, GraphManagerConfig::default()).unwrap()
+fn build_router(events: &historygraph::tgraph::EventList) -> ShardedGraphManager {
+    ShardedGraphManager::build_in_memory(events, ShardedConfig::default()).unwrap()
 }
 
 /// The deterministic workload of one session: every retrieval verb.
@@ -72,10 +73,8 @@ fn workload(s: &Setup, i: usize) -> Vec<String> {
 #[test]
 fn concurrent_sessions_match_direct_execution() {
     let s = Arc::new(setup());
-    let gm = build_manager(&s.events);
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(
-        shared.clone(),
+    let server = serve_sharded(
+        build_router(&s.events),
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: SESSIONS + 4,
@@ -118,20 +117,20 @@ fn concurrent_sessions_match_direct_execution() {
     let recorded: Vec<Vec<(String, Vec<String>)>> =
         sessions.into_iter().map(|t| t.join().unwrap()).collect();
 
-    // Phase 2: the reference. A direct GraphManager over the same trace,
-    // with the same appends applied, executed through a local Executor
-    // (no server, no sockets).
-    let mut direct_gm = build_manager(&s.events);
+    // Phase 2: the reference. A second store over the same trace, with the
+    // same appends applied, executed through a local Executor (no server,
+    // no sockets).
+    let reference_router = build_router(&s.events);
     for i in 0..SESSIONS {
-        direct_gm
+        reference_router
             .append_event(historygraph::tgraph::Event::add_node(
                 s.append_t,
                 5000 + i as u64,
             ))
             .unwrap();
     }
-    let direct = SharedGraphManager::new(direct_gm);
-    let mut reference = Executor::new(direct.clone());
+    let direct = reference_router.shard_at(0).unwrap();
+    let mut reference = Executor::for_router(reference_router);
     for (i, session) in recorded.iter().enumerate() {
         for (request, lines) in session {
             let expected = reference
@@ -182,8 +181,9 @@ fn concurrent_sessions_match_direct_execution() {
 #[test]
 fn server_pool_returns_to_baseline_after_disconnects() {
     let s = setup();
-    let shared = SharedGraphManager::new(build_manager(&s.events));
-    let server = serve(shared.clone(), ServerConfig::default()).unwrap();
+    let router = build_router(&s.events);
+    let shared = router.shard_at(0).unwrap();
+    let server = serve_sharded(router, ServerConfig::default()).unwrap();
     let t = s.times[2].raw();
     {
         let mut a = Client::connect(server.addr()).unwrap();

@@ -8,17 +8,18 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use historygraph::datagen::toy_trace;
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
-use server::{serve, Client, ServerConfig, ServerHandle};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
 fn start(cache: usize) -> (ServerHandle, SharedGraphManager) {
-    let gm = GraphManager::build_in_memory(
+    let router = ShardedGraphManager::build_in_memory(
         &toy_trace().events,
-        GraphManagerConfig::default().with_snapshot_cache(cache),
+        ShardedConfig::default()
+            .with_manager(GraphManagerConfig::default().with_snapshot_cache(cache)),
     )
     .unwrap();
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(shared.clone(), ServerConfig::default()).unwrap();
+    let shared = router.shard_at(0).unwrap();
+    let server = serve_sharded(router, ServerConfig::default()).unwrap();
     (server, shared)
 }
 
